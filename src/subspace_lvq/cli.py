@@ -7,9 +7,9 @@ annotation sampling, calibration, and an analytic-gradient self check.
 Options may come from a flat ``key = value`` config file (``--config``);
 explicit flags win over file values.  Commands that write files require
 ``--out`` and leave a run manifest there: written with status "running"
-before long work starts and finalized on completion, so interrupted runs
-are detectable.  Logs go to stderr; data goes to stdout or files, never
-interleaved.
+before long work starts, finalized as "complete" on success and as
+"failed" (with the error) when the command raises or is interrupted.
+Logs go to stderr; data goes to stdout or files, never interleaved.
 """
 
 from __future__ import annotations
@@ -99,12 +99,17 @@ def read_config_file(path) -> dict[str, str]:
 
 
 class Options:
-    """Merged view of flags, config file and defaults; flags win."""
+    """Merged view of flags, config file and defaults; flags win.
+
+    Also holds the run manifest once the command has started one, so that
+    :func:`main` can finalize it if the command fails.
+    """
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         config_path = self._args.get("config")
         self._file = read_config_file(config_path) if config_path else {}
+        self.manifest: Manifest | None = None
 
     def get(self, name, convert=None, default=None, required=False):
         convert = convert or _CONVERTERS.get(name, str)
@@ -172,6 +177,22 @@ class Manifest:
         self.data["status"] = "complete"
         self._write()
 
+    def fail(self, exc: BaseException):
+        """Record a run that raised before :meth:`finalize` as failed."""
+        if self.data["status"] != "running":
+            return
+        if isinstance(exc, KeyboardInterrupt):
+            category = "interrupted"
+        else:
+            category = getattr(exc, "category", "internal")
+        self.data["error"] = {"category": category, "message": str(exc)}
+        self.data["finished_at"] = _utcnow()
+        self.data["status"] = "failed"
+        try:
+            self._write()
+        except OSError as write_exc:
+            log.warning("cannot finalize %s: %s", self.path, write_exc)
+
 
 def _out_dir(opts, required=True) -> Path | None:
     out = opts.get("out", required=required)
@@ -182,8 +203,10 @@ def _out_dir(opts, required=True) -> Path | None:
     return path
 
 
-def _snapshot(opts: Options, keys) -> dict:
-    return {k: opts.get(k) for k in keys}
+def _start_manifest(opts: Options, out: Path, command: str, keys) -> Manifest:
+    """Write the manifest with a snapshot of ``keys``; see :class:`Options`."""
+    opts.manifest = Manifest(out, command, {k: opts.get(k) for k in keys})
+    return opts.manifest
 
 
 def _load_pipeline_inputs(opts, model=None):
@@ -204,8 +227,7 @@ def _load_pipeline_inputs(opts, model=None):
 def cmd_synth_data(opts: Options) -> int:
     seed = opts.get("seed", int, required=True)
     out = _out_dir(opts)
-    manifest = Manifest(out, "synth-data",
-                        _snapshot(opts, ["seed", "docs_per_class", "dim", "out"]))
+    manifest = _start_manifest(opts, out, "synth-data", ["seed", "docs_per_class", "dim", "out"])
     corpus = generate_synthetic(
         docs_per_class=opts.get("docs_per_class", int),
         dim=opts.get("dim", int),
@@ -240,10 +262,10 @@ def _train_config(opts) -> TrainConfig:
 def cmd_train(opts: Options) -> int:
     config = _train_config(opts)
     out = _out_dir(opts)
-    snapshot = _snapshot(opts, ["embeddings", "stopwords", "corpus", "out", "d", "beta",
+    manifest = _start_manifest(opts, out, "train",
+                               ["embeddings", "stopwords", "corpus", "out", "d", "beta",
                                 "distance", "epochs", "lr_w", "lr_lambda", "per_class",
                                 "seed", "train_fraction"])
-    manifest = Manifest(out, "train", snapshot)
     table, stoplist = _load_pipeline_inputs(opts)
     if config.subspace_dim > table.dim:
         raise DimensionError(
@@ -311,8 +333,8 @@ def cmd_evaluate(opts: Options) -> int:
               f"recall {metrics['recall']!r} support {int(metrics['support'])}")
     out = _out_dir(opts, required=False)
     if out is not None:
-        manifest = Manifest(out, "evaluate",
-                            _snapshot(opts, ["model", "corpus", "embeddings", "stopwords", "out"]))
+        manifest = _start_manifest(opts, out, "evaluate",
+                                   ["model", "corpus", "embeddings", "stopwords", "out"])
         path = out / "evaluation.json"
         path.write_text(json.dumps({
             "accuracy": report.accuracy,
@@ -350,8 +372,8 @@ def cmd_predict(opts: Options) -> int:
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        manifest = Manifest(out, "predict",
-                            _snapshot(opts, ["model", "corpus", "embeddings", "stopwords", "out"]))
+        manifest = _start_manifest(opts, out, "predict",
+                                   ["model", "corpus", "embeddings", "stopwords", "out"])
         path = out / "predictions.csv"
         with path.open("w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle)
@@ -370,9 +392,9 @@ def cmd_explain(opts: Options) -> int:
     top_k = opts.get("top_k", int)
     positive = opts.get("positive_label")
     out = _out_dir(opts)
-    manifest = Manifest(out, "explain",
-                        _snapshot(opts, ["model", "corpus", "embeddings", "stopwords",
-                                         "top_k", "positive_label", "out"]))
+    manifest = _start_manifest(opts, out, "explain",
+                               ["model", "corpus", "embeddings", "stopwords",
+                                "top_k", "positive_label", "out"])
     reports = []
     skipped = []
     for rec in records:
@@ -399,9 +421,9 @@ def cmd_score_corpus(opts: Options) -> int:
     table, stoplist = _load_pipeline_inputs(opts, model=state)
     records = ingest(opts.get("corpus", required=True))
     out = _out_dir(opts)
-    manifest = Manifest(out, "score-corpus",
-                        _snapshot(opts, ["model", "corpus", "embeddings", "stopwords",
-                                         "positive_label", "threshold", "out"]))
+    manifest = _start_manifest(opts, out, "score-corpus",
+                               ["model", "corpus", "embeddings", "stopwords",
+                                "positive_label", "threshold", "out"])
     scored, skipped = batch_score(records, state, table, stoplist, positive)
     ranked = rank(scored)
     path = out / "scored.csv"
@@ -433,7 +455,7 @@ def cmd_rank(opts: Options) -> int:
             writer.writerow([s.case_id, format(s.score, ".17g"),
                              format(s.percentile, ".17g"), s.predicted_label])
     else:
-        manifest = Manifest(out, "rank", _snapshot(opts, ["scored", "out"]))
+        manifest = _start_manifest(opts, out, "rank", ["scored", "out"])
         path = out / "ranked.csv"
         write_scored(ranked, path)
         manifest.add_output(path)
@@ -448,8 +470,8 @@ def cmd_sample(opts: Options) -> int:
     bands = parse_bands(opts.get("bands", required=True))
     per_band = opts.get("per_band", int)
     out = _out_dir(opts)
-    manifest = Manifest(out, "sample",
-                        _snapshot(opts, ["scored", "bands", "per_band", "seed", "out"]))
+    manifest = _start_manifest(opts, out, "sample",
+                               ["scored", "bands", "per_band", "seed", "out"])
     sampled = sample_for_annotation(scored, bands, per_band, seed)
     path = out / "sample.csv"
     with path.open("w", encoding="utf-8", newline="") as handle:
@@ -470,9 +492,8 @@ def cmd_calibrate(opts: Options) -> int:
     bands = parse_bands(opts.get("bands", required=True))
     target = opts.get("target_precision", float)
     out = _out_dir(opts)
-    manifest = Manifest(out, "calibrate",
-                        _snapshot(opts, ["scored", "annotations", "bands",
-                                         "target_precision", "out"]))
+    manifest = _start_manifest(opts, out, "calibrate",
+                               ["scored", "annotations", "bands", "target_precision", "out"])
     report = calibrate(scored, annotations, bands, target)
     path = out / "calibration.json"
     path.write_text(json.dumps({
@@ -581,10 +602,15 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
+    opts = None
     try:
         opts = Options(args)
         return args.func(opts)
-    except ToolkitError as exc:
+    except BaseException as exc:
+        if opts is not None and opts.manifest is not None:
+            opts.manifest.fail(exc)
+        if not isinstance(exc, ToolkitError):
+            raise
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
 

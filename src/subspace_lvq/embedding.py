@@ -1,19 +1,24 @@
 """Word embeddings and text preprocessing.
 
 Loads whitespace-format embedding files (one ``word c_1 ... c_D`` entry per
-line), tokenizes raw case text, removes stop words, and assembles the
-per-document word-vector matrix consumed by the subspace layer.
+line) through a validated binary cache kept beside each file, tokenizes raw
+case text, removes stop words, and assembles the per-document word-vector
+matrix consumed by the subspace layer.
 """
 
 from __future__ import annotations
 
+import hashlib
+import io
 import logging
+import zlib
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DimensionError, EmptyDocumentError, FormatError
 
 log = logging.getLogger(__name__)
@@ -21,6 +26,15 @@ log = logging.getLogger(__name__)
 # Pure-digit tokens longer than this carry no embedding signal (years and
 # application numbers are shorter or contain separators).
 _MAX_DIGIT_RUN = 4
+
+#: Appended to an embedding file's name to give the path of its parsed-table cache.
+CACHE_SUFFIX = ".slvq-cache"
+_CACHE_VERSION = 1
+# ``checksum`` is the CRC-32 of the duplicate count, the word bytes and the
+# matrix bytes; it catches damage that leaves every array well-formed.
+_CACHE_META = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<u8"),
+                        ("checksum", "<u4")])
+_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,55 +94,192 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     Duplicate words keep the last occurrence (a warning with the duplicate
     count is logged).
 
+    The parsed table is kept in a binary cache beside the file
+    (``<name>.slvq-cache``), keyed by the file's SHA-256.  A later load of
+    the same bytes reads the cache instead of parsing the text; an edited
+    file, or a cache that is missing, stale or damaged in any way, is
+    parsed again and the cache rewritten.  Both paths give bit-identical
+    vectors, and every entry is a row view of one ``(V, D)`` matrix.
+
     Raises
     ------
     FormatError
-        On unreadable files, malformed floats, inconsistent dimensions, or
-        an empty file.
+        On unreadable or non-UTF-8 files, malformed floats, inconsistent
+        dimensions, or an empty file.
     DimensionError
         If ``expected_dim`` is given and does not match the file.
     """
     path = Path(path)
-    entries: dict[str, np.ndarray] = {}
-    dim = None
-    duplicates = 0
     try:
-        handle = path.open("r", encoding="utf-8")
+        digest = _sha256(path)
     except OSError as exc:
         raise FormatError(f"cannot read embedding file: {exc}", path=path) from exc
-    with handle:
-        for lineno, line in enumerate(handle, start=1):
-            parts = line.rstrip("\n").split(" ")
-            if parts == [""]:
-                continue
-            if len(parts) < 2:
-                raise FormatError("expected a token and at least one float", path=path, line=lineno)
-            word = parts[0]
-            try:
-                vec = np.array([float(p) for p in parts[1:]], dtype=np.float64)
-            except ValueError as exc:
-                raise FormatError(f"malformed float: {exc}", path=path, line=lineno) from exc
-            if not np.all(np.isfinite(vec)):
-                raise FormatError("non-finite embedding component", path=path, line=lineno)
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise FormatError(
-                    f"inconsistent dimension: expected {dim}, got {vec.size}",
-                    path=path, line=lineno,
-                )
-            if word in entries:
-                duplicates += 1
-            entries[word] = vec
-    if dim is None:
-        raise FormatError("empty embedding file", path=path)
+    cache = path.with_name(path.name + CACHE_SUFFIX)
+    cached = _read_cache(cache, digest)
+    if cached is None:
+        words, matrix, duplicates, digest = _parse_text(path)
+        _write_cache(cache, digest, words, matrix, duplicates)
+    else:
+        words, matrix, duplicates = cached
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
+    dim = matrix.shape[1]
     if expected_dim is not None and dim != expected_dim:
         raise DimensionError(
             f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
         )
-    return EmbeddingTable(dim=dim, entries=entries, source_name=path.name)
+    return EmbeddingTable(dim=dim, entries=dict(zip(words, matrix)), source_name=path.name)
+
+
+class _HashingReader(io.RawIOBase):
+    """Binary reader that feeds every byte it returns into a hash."""
+
+    def __init__(self, raw, digest):
+        self._raw = raw
+        self._digest = digest
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buffer) -> int:
+        count = self._raw.readinto(buffer)
+        self._digest.update(memoryview(buffer)[:count])
+        return count
+
+    def close(self) -> None:
+        self._raw.close()
+        super().close()
+
+
+def _sha256(path: Path) -> str:
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        while chunk := handle.read(_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _row_capacity(path: Path) -> int:
+    """Upper bound on the number of lines text-mode reading will yield.
+
+    Universal newlines end a line at LF, CR or CR LF, so counting LF and CR
+    bytes never undercounts.  Rows left unused (blank lines, duplicates,
+    CR LF counted twice) are never written, so their pages stay untouched.
+    """
+    breaks = 0
+    with path.open("rb") as handle:
+        while chunk := handle.read(_CHUNK):
+            breaks += chunk.count(b"\n") + chunk.count(b"\r")
+    return breaks + 1
+
+
+def _parse_text(path: Path):
+    """Parse the text format: (words, (V, D) matrix, duplicates, SHA-256 of the bytes read).
+
+    The digest is taken from the bytes the parser reads, not from an earlier
+    pass, so a cache never pairs one version of the file with another's data.
+    """
+    try:
+        capacity = _row_capacity(path)
+        raw = path.open("rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read embedding file: {exc}", path=path) from exc
+    digest = hashlib.sha256()
+    rows: dict[str, int] = {}
+    matrix = None
+    duplicates = 0
+    with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest), _CHUNK),
+                          encoding="utf-8") as handle:
+        try:
+            for lineno, line in enumerate(handle, start=1):
+                parts = line.rstrip("\n").split(" ")
+                if parts == [""]:
+                    continue
+                if len(parts) < 2:
+                    raise FormatError("expected a token and at least one float",
+                                      path=path, line=lineno)
+                try:
+                    values = [float(p) for p in parts[1:]]
+                except ValueError as exc:
+                    raise FormatError(f"malformed float: {exc}", path=path, line=lineno) from exc
+                if matrix is None:
+                    matrix = np.empty((capacity, len(values)), dtype=np.float64)
+                elif len(values) != matrix.shape[1]:
+                    raise FormatError(
+                        f"inconsistent dimension: expected {matrix.shape[1]}, got {len(values)}",
+                        path=path, line=lineno,
+                    )
+                row = rows.get(parts[0])
+                if row is not None:
+                    duplicates += 1
+                elif len(rows) == capacity:
+                    raise FormatError("file changed while it was read", path=path)
+                else:
+                    row = rows[parts[0]] = len(rows)
+                matrix[row] = values
+                if not np.isfinite(matrix[row]).all():
+                    raise FormatError("non-finite embedding component", path=path, line=lineno)
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+    if matrix is None:
+        raise FormatError("empty embedding file", path=path)
+    return list(rows), matrix[: len(rows)], duplicates, digest.hexdigest()
+
+
+def _checksum(duplicates: int, blob: np.ndarray, matrix: np.ndarray) -> int:
+    crc = zlib.crc32(duplicates.to_bytes(8, "little"))
+    return zlib.crc32(matrix, zlib.crc32(blob, crc))
+
+
+def _read_cache(cache: Path, digest: str):
+    """(words, matrix, duplicates) from a valid cache of the text whose SHA-256 is ``digest``.
+
+    Returns None, and the caller parses the text, when the cache is missing,
+    was written for other bytes or by another cache version, or fails any
+    check.
+    """
+    try:
+        with cache.open("rb") as handle:
+            meta, blob, matrix = (np.load(handle, allow_pickle=False) for _ in range(3))
+            trailing = handle.read(1)
+    except FileNotFoundError:
+        return None
+    except Exception as exc:  # noqa: BLE001 - an unreadable cache is rebuilt, never fatal
+        log.info("%s: unreadable embedding cache, rebuilding: %r", cache, exc)
+        return None
+    if (meta.dtype == _CACHE_META and meta.shape == () and not trailing
+            and meta["version"] == _CACHE_VERSION and meta["digest"] == digest.encode("ascii")
+            and blob.dtype == np.uint8 and blob.ndim == 1
+            and matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] > 0
+            and matrix.flags.c_contiguous
+            and meta["checksum"] == _checksum(int(meta["duplicates"]), blob, matrix)
+            and np.isfinite(matrix).all()):
+        try:
+            words = blob.tobytes().decode("utf-8").split("\n")
+        except UnicodeDecodeError:
+            words = []
+        if len(words) == matrix.shape[0] == len(set(words)):
+            return words, matrix, int(meta["duplicates"])
+    log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+    return None
+
+
+def _write_cache(cache: Path, digest: str, words: list[str], matrix: np.ndarray,
+                 duplicates: int) -> None:
+    """Store a parsed table as three ``np.save`` records: meta, words, matrix.
+
+    Words are joined by newlines (no word contains one) into UTF-8 bytes.
+    An unwritable directory costs only the cache, never the load.
+    """
+    blob = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+    meta = np.array((_CACHE_VERSION, digest.encode("ascii"), duplicates,
+                     _checksum(duplicates, blob, matrix)), dtype=_CACHE_META)
+    try:
+        with atomic_write(cache) as handle:
+            for record in (meta, blob, matrix):
+                np.save(handle, record, allow_pickle=False)
+    except OSError as exc:
+        log.warning("%s: cannot write embedding cache: %s", cache, exc)
 
 
 def save_embeddings(table: EmbeddingTable, path) -> None:

@@ -3,21 +3,22 @@
 Layout: magic string, u32 format version, u64 header length, UTF-8 JSON
 header (dimensions, slope, distance kind, labels, hyperparameters, training
 log, array shapes), then the relevance vector and each prototype matrix as
-row-major little-endian float64.  Loading reproduces scores bit-exactly.
-Writes go to a temporary file followed by an atomic rename, so an
-interrupted save never leaves a corrupt model behind.
+row-major little-endian float64, and nothing after them.  Loading
+reproduces scores bit-exactly.  Writes go to a fsynced temporary file
+followed by an atomic rename, so an interrupted save never leaves a corrupt
+model behind.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import os
 import struct
 from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import FormatError
 from .model import ModelState, Prototype
 
@@ -43,8 +44,7 @@ def save_model(state: ModelState, path) -> None:
         "training_log": [[int(e), c, a] for e, c, a in state.training_log],
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    tmp = path.with_name(path.name + ".tmp")
-    with tmp.open("wb") as handle:
+    with atomic_write(path) as handle:
         handle.write(MAGIC)
         handle.write(struct.pack("<I", FORMAT_VERSION))
         handle.write(struct.pack("<Q", len(header_bytes)))
@@ -52,7 +52,6 @@ def save_model(state: ModelState, path) -> None:
         handle.write(np.ascontiguousarray(state.relevances, dtype=_F64LE).tobytes())
         for proto in state.prototypes:
             handle.write(np.ascontiguousarray(proto.basis, dtype=_F64LE).tobytes())
-    os.replace(tmp, path)
 
 
 def load_model(path) -> ModelState:
@@ -75,19 +74,28 @@ def load_model(path) -> ModelState:
         header = json.loads(blob[offset: offset + header_len].decode("utf-8"))
         offset += header_len
 
+        labels, shapes = header["prototype_labels"], header["prototype_shapes"]
+        if len(labels) != len(shapes):
+            raise FormatError(
+                f"header lists {len(labels)} prototype labels but {len(shapes)} shapes",
+                path=path)
         rel_len = int(header["relevance_len"])
         relevances = np.frombuffer(blob, dtype=_F64LE, count=rel_len, offset=offset).astype(
             np.float64
         )
         offset += rel_len * 8
         prototypes = []
-        for label, shape in zip(header["prototype_labels"], header["prototype_shapes"]):
+        for label, shape in zip(labels, shapes):
             rows, cols = int(shape[0]), int(shape[1])
             flat = np.frombuffer(blob, dtype=_F64LE, count=rows * cols, offset=offset)
             offset += rows * cols * 8
             prototypes.append(Prototype(basis=flat.astype(np.float64).reshape(rows, cols), label=label))
-    except (struct.error, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (struct.error, KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"truncated or corrupt model file: {exc}", path=path) from exc
+    if offset != len(blob):
+        raise FormatError(f"{len(blob) - offset} bytes after the last array", path=path)
+    if not (np.isfinite(relevances).all() and all(np.isfinite(p.basis).all() for p in prototypes)):
+        raise FormatError("non-finite relevance or prototype value", path=path)
     return ModelState(
         prototypes=prototypes,
         relevances=relevances,

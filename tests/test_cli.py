@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from subspace_lvq import cli
 from subspace_lvq.cli import main, parse_bands, read_config_file
 from subspace_lvq.corpus import read_scored
 from subspace_lvq.errors import UsageError
@@ -233,3 +234,37 @@ class TestDimensionMismatch:
                      "--embeddings", str(bad)])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: dimension:")
+
+
+class TestFailedRuns:
+    def test_format_error_finalizes_manifest_as_failed(self, workspace, tmp_path, capsys):
+        bad = tmp_path / "bad_emb.txt"
+        bad.write_text("word 1.0 oops\n")
+        out = tmp_path / "run"
+        code = main(["train", "--embeddings", str(bad),
+                     "--corpus", str(workspace["data"] / "corpus.jsonl"),
+                     "--out", str(out), "--seed", "1"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: format:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == "format"
+        assert "malformed float" in manifest["error"]["message"]
+        assert "finished_at" in manifest
+
+    def test_interrupt_finalizes_manifest_and_propagates(self, workspace, tmp_path,
+                                                         monkeypatch):
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "batch_score", interrupted)
+        out = tmp_path / "scored"
+        with pytest.raises(KeyboardInterrupt):
+            main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                  "--corpus", str(workspace["data"] / "corpus.jsonl"),
+                  "--embeddings", str(workspace["data"] / "embeddings.txt"),
+                  "--positive-label", "topic_a", "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == "interrupted"
+        assert "finished_at" in manifest

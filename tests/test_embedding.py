@@ -1,11 +1,17 @@
-"""Embedding file handling, tokenization and document embedding."""
+"""Embedding file handling, the parsed-table cache, tokenization and document embedding."""
+
+import errno
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subspace_lvq import atomic, embedding
 from subspace_lvq.embedding import (
+    CACHE_SUFFIX,
     EmbeddingTable,
     embed,
     load_embeddings,
@@ -186,3 +192,184 @@ class TestEmbed:
         assert matrix.tokens == known
         for j, word in enumerate(matrix.tokens):
             np.testing.assert_array_equal(matrix.columns[:, j], table.vector(word))
+
+
+def cache_of(path):
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+def assert_same_table(a, b):
+    assert a.dim == b.dim
+    assert list(a.entries) == list(b.entries)
+    for word, vec in a.entries.items():
+        assert vec.dtype == np.float64
+        assert vec.tobytes() == b.entries[word].tobytes()
+
+
+_words = st.text(alphabet="abcé\t", max_size=3)
+_floats = st.floats(allow_nan=False, allow_infinity=False)
+
+
+class TestEmbeddingCache:
+    @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
+        st.one_of(st.none(), st.tuples(_words, st.lists(_floats, min_size=dim, max_size=dim))),
+        min_size=1, max_size=12)))
+    @settings(max_examples=60, deadline=None)
+    def test_hit_is_bit_identical_to_parse(self, lines):
+        """None is a blank line; repeated words keep the last vector in first-seen order."""
+        expected = {}
+        for line in lines:
+            if line is not None:
+                expected[line[0]] = line[1]
+        if not expected:
+            return
+        text = "".join("\n" if line is None else
+                       line[0] + "".join(" " + repr(v) for v in line[1]) + "\n"
+                       for line in lines)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "emb.txt"
+            path.write_text(text, encoding="utf-8")
+            parsed = load_embeddings(path)
+            assert cache_of(path).exists()
+            cached = load_embeddings(path)
+            assert_same_table(parsed, cached)
+            assert list(parsed.entries) == list(expected)
+            for word, values in expected.items():
+                assert parsed.vector(word).tobytes() == np.array(values).tobytes()
+            for table in (parsed, cached):   # rows of one contiguous (V, D) matrix
+                addresses = [v.__array_interface__["data"][0] for v in table.entries.values()]
+                assert addresses == [addresses[0] + 8 * table.dim * i
+                                     for i in range(len(addresses))]
+
+    def test_hit_reads_no_text(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        parsed = load_embeddings(path)
+
+        def fail(path):
+            raise AssertionError(f"{path} was parsed although its cache is valid")
+
+        monkeypatch.setattr(embedding, "_parse_text", fail)
+        assert_same_table(parsed, load_embeddings(path))
+
+    def test_edited_file_rebuilds_cache(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        load_embeddings(path)
+        old_cache = cache_of(path).read_bytes()
+        path.write_text("a 1.0 0.5\nb 0.0 2.0\nc 3.0 3.0\n")
+        table = load_embeddings(path)
+        assert table.vector("b")[1] == 2.0 and "c" in table
+        assert cache_of(path).read_bytes() != old_cache
+        assert_same_table(table, load_embeddings(path))
+
+    @pytest.mark.parametrize("damage", [
+        "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
+        "duplicate_words", "not_npy",
+    ])
+    def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
+        path = tmp_path / "emb.txt"
+        path.write_text("alpha 0.25 -1.5 3.0\nbeta 1e-300 2.0 -0.0\ngamma 7.0 8.0 9.0\n")
+        reference = load_embeddings(path)
+        cache = cache_of(path)
+        good = cache.read_bytes()
+        meta, blob, matrix = read_cache_records(cache)
+        if damage == "truncated":
+            cache.write_bytes(good[:-7])
+        elif damage == "flipped_byte":
+            damaged = bytearray(good)
+            damaged[-5] ^= 0x01   # inside the matrix data: every array stays well-formed
+            cache.write_bytes(bytes(damaged))
+        elif damage == "wrong_version":
+            meta["version"] += 1
+            write_cache_records(cache, meta, blob, matrix)
+        elif damage == "trailing_bytes":
+            cache.write_bytes(good + b"\0")
+        elif damage == "nan_matrix":
+            matrix[1, 1] = np.nan
+            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
+            write_cache_records(cache, meta, blob, matrix)
+        elif damage == "empty":
+            cache.write_bytes(b"")
+        elif damage == "duplicate_words":
+            blob = np.frombuffer(b"alpha\nbeta\nalpha", dtype=np.uint8)
+            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
+            write_cache_records(cache, meta, blob, matrix)
+        elif damage == "not_npy":
+            cache.write_bytes(b"garbage" * 20)
+        assert_same_table(reference, load_embeddings(path))
+        assert cache.read_bytes() == good
+
+    def test_unwritable_directory_still_loads(self, tmp_path, monkeypatch, caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        real_open = atomic.os.open
+
+        def refuse(name, *args, **kwargs):
+            if Path(name).parent == tmp_path:
+                raise PermissionError(errno.EACCES, "Permission denied", str(name))
+            return real_open(name, *args, **kwargs)
+
+        monkeypatch.setattr(atomic.os, "open", refuse)
+        with caplog.at_level("WARNING"):
+            table = load_embeddings(path)
+        assert table.vector("b")[1] == 1.0
+        assert any("cannot write embedding cache" in rec.message for rec in caplog.records)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_failed_cache_write_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\n")
+        cache_of(path).mkdir()   # the rename onto the cache path fails
+        assert load_embeddings(path).vector("a")[1] == 0.5
+        assert sorted(tmp_path.iterdir()) == [path, cache_of(path)]
+        assert cache_of(path).is_dir() and not any(cache_of(path).iterdir())
+
+    @pytest.mark.parametrize("hit", [False, True])
+    def test_duplicates_and_expected_dim_on_hit_and_miss(self, tmp_path, caplog, hit):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 2.0\nb 3.0 4.0\na 5.0 6.0\nb 7.0 8.0\n")
+        if hit:
+            load_embeddings(path)
+            assert cache_of(path).exists()
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            table = load_embeddings(path, expected_dim=2)
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{path}: 2 duplicate words, last occurrence kept"]
+        np.testing.assert_array_equal(table.vector("a"), [5.0, 6.0])
+        with pytest.raises(DimensionError, match="dimension 2 does not match expected 3"):
+            load_embeddings(path, expected_dim=3)
+
+    @pytest.mark.parametrize("text", ["", "a 1.0\nb oops\n", "a 1.0 2.0\nb 1.0\n", "a inf\n",
+                                      "solo\n"])
+    def test_failed_parse_leaves_no_cache(self, tmp_path, text):
+        path = tmp_path / "emb.txt"
+        path.write_text(text)
+        with pytest.raises(FormatError):
+            load_embeddings(path)
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_non_utf8_file_is_a_format_error(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"caf\xe9 1.0\n")
+        with pytest.raises(FormatError, match="UTF-8"):
+            load_embeddings(path)
+
+    def test_carriage_return_line_ends(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_bytes(b"a 1.0 2.0\r\nb 3.0 4.0\rc 5.0 6.0")
+        table = load_embeddings(path)
+        assert list(table.entries) == ["a", "b", "c"]
+        assert_same_table(table, load_embeddings(path))
+
+
+def read_cache_records(cache):
+    with cache.open("rb") as handle:
+        return tuple(np.load(handle, allow_pickle=False) for _ in range(3))
+
+
+def write_cache_records(cache, *records):
+    with cache.open("wb") as handle:
+        for record in records:
+            np.save(handle, record, allow_pickle=False)
