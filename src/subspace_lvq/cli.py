@@ -4,11 +4,13 @@ One executable exposes the full pipeline: synthetic data generation,
 training, evaluation, prediction, explanation, corpus scoring, ranking,
 annotation sampling, calibration, and an analytic-gradient self check.
 
-Options may come from a flat ``key = value`` config file (``--config``);
-explicit flags win over file values.  Commands that write files require
-``--out`` and leave a run manifest there: written with status "running"
-before long work starts, finalized as "complete" on success and as
-"failed" (with the error) when the command raises or is interrupted.
+Each subcommand accepts only the flags it reads (``_COMMANDS``).  Options
+may also come from a flat ``key = value`` config file (``--config``), which
+may set any known option; explicit flags win over file values.  Commands
+that write files require ``--out`` and leave a run manifest there: written
+with status "running" before long work starts, finalized as "complete" on
+success and as "failed" (with the error) when the command raises or is
+interrupted.
 Logs go to stderr; data goes to stdout or files, never interleaved.
 """
 
@@ -21,6 +23,7 @@ import logging
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import (
@@ -39,10 +42,17 @@ from .corpus import (
     write_scored,
 )
 from .embedding import load_embeddings, load_stopwords
-from .errors import PER_RECORD_ERRORS, DimensionError, ToolkitError, UsageError
+from .errors import DimensionError, ToolkitError, UsageError, map_records
 from .explain import explanation_report, write_reports_csv, write_reports_jsonl
 from .geometry import DISTANCE_KINDS
-from .model import TrainConfig, classify, evaluate, run_gradient_checks, train
+from .model import (
+    TrainConfig,
+    check_positive_label,
+    classify,
+    evaluate,
+    run_gradient_checks,
+    train,
+)
 from .model_io import load_model, model_checksum, save_model
 from .synth import generate as generate_synthetic, write_synthetic
 
@@ -50,31 +60,43 @@ log = logging.getLogger("subspace_lvq.cli")
 
 GRAD_CHECK_TOLERANCE = 1e-5
 
-_DEFAULTS = {
-    "d": 50,
-    "beta": 5.0,
-    "distance": "chordal",
-    "epochs": 100,
-    "lr_w": 0.05,
-    "lr_lambda": 0.005,
-    "per_class": 1,
-    "top_k": 20,
-    "per_band": 20,
-    "docs_per_class": 200,
-    "dim": 50,
-}
 
-_CONVERTERS = {
-    "d": int, "epochs": int, "seed": int, "top_k": int, "per_band": int,
-    "per_class": int, "docs_per_class": int, "dim": int,
-    "beta": float, "lr_w": float, "lr_lambda": float, "train_fraction": float,
-    "threshold": float, "target_precision": float,
-}
+class _Flag(NamedTuple):
+    type: type
+    default: object
+    help: str
+    choices: tuple | None = None
 
-_KNOWN_KEYS = {
-    "embeddings", "stopwords", "corpus", "model", "out", "scored", "annotations",
-    "distance", "positive_label", "bands",
-} | set(_CONVERTERS)
+
+# Every option: ``--name`` on the command line (``_`` spelled ``-``) and
+# ``name`` in a config file.  A subcommand accepts the flags in its
+# ``_COMMANDS`` entry; a config file may set any of them.
+_FLAGS = {
+    "embeddings": _Flag(str, None, "embedding file (word + floats per line)"),
+    "stopwords": _Flag(str, None, "stop-word file (default: packaged English list)"),
+    "corpus": _Flag(str, None, "corpus JSON-lines file or directory of .txt files"),
+    "model": _Flag(str, None, "model file"),
+    "out": _Flag(str, None, "output directory"),
+    "scored": _Flag(str, None, "scored-cases CSV (from score-corpus/rank)"),
+    "annotations": _Flag(str, None, "annotation JSON-lines file"),
+    "d": _Flag(int, 50, "subspace dimension (default 50)"),
+    "beta": _Flag(float, 5.0, "sigmoid slope (default 5)"),
+    "distance": _Flag(str, "chordal", "distance kind", DISTANCE_KINDS),
+    "epochs": _Flag(int, 100, "training epochs (default 100)"),
+    "lr_w": _Flag(float, 0.05, "prototype learning rate"),
+    "lr_lambda": _Flag(float, 0.005, "relevance learning rate"),
+    "seed": _Flag(int, None, "random seed"),
+    "train_fraction": _Flag(float, None, "train split fraction in (0,1)"),
+    "positive_label": _Flag(str, None, "positive class label"),
+    "threshold": _Flag(float, None, "score threshold"),
+    "top_k": _Flag(int, 20, "words per explanation"),
+    "bands": _Flag(str, None, "percentile bands, e.g. '87:88,88:89'"),
+    "per_band": _Flag(int, 20, "samples per band"),
+    "per_class": _Flag(int, 1, "prototypes per class"),
+    "target_precision": _Flag(float, None, "calibration target precision"),
+    "docs_per_class": _Flag(int, 200, "synthetic documents per class"),
+    "dim": _Flag(int, 50, "synthetic embedding dimension"),
+}
 
 
 def read_config_file(path) -> dict[str, str]:
@@ -92,7 +114,7 @@ def read_config_file(path) -> dict[str, str]:
             raise UsageError(f"{path}:{lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         key = key.strip().replace("-", "_")
-        if key not in _KNOWN_KEYS:
+        if key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
         values[key] = value.strip()
     return values
@@ -107,21 +129,22 @@ class Options:
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
+        self.command = args.command
         config_path = self._args.get("config")
         self._file = read_config_file(config_path) if config_path else {}
         self.manifest: Manifest | None = None
 
-    def get(self, name, convert=None, default=None, required=False):
-        convert = convert or _CONVERTERS.get(name, str)
+    def get(self, name, default=None, required=False):
+        flag = _FLAGS[name]
         value = self._args.get(name)
         if value is None and name in self._file:
             raw = self._file[name]
             try:
-                value = convert(raw)
+                value = flag.type(raw)
             except ValueError as exc:
                 raise UsageError(f"config value {name} = {raw!r}: {exc}") from exc
         if value is None:
-            value = _DEFAULTS.get(name, default)
+            value = default if flag.default is None else flag.default
         if value is None and required:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
         return value
@@ -203,9 +226,17 @@ def _out_dir(opts, required=True) -> Path | None:
     return path
 
 
-def _start_manifest(opts: Options, out: Path, command: str, keys) -> Manifest:
-    """Write the manifest with a snapshot of ``keys``; see :class:`Options`."""
-    opts.manifest = Manifest(out, command, {k: opts.get(k) for k in keys})
+def _write_csv(path: Path, header, rows) -> None:
+    with path.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _start_manifest(opts: Options, out: Path) -> Manifest:
+    """Write the manifest with a snapshot of the command's flags; see :class:`Options`."""
+    _, _, names = _COMMANDS[opts.command]
+    opts.manifest = Manifest(out, opts.command, {k: opts.get(k) for k in names})
     return opts.manifest
 
 
@@ -225,12 +256,12 @@ def _load_pipeline_inputs(opts, model=None):
 # ---------------------------------------------------------------------------
 
 def cmd_synth_data(opts: Options) -> int:
-    seed = opts.get("seed", int, required=True)
+    seed = opts.get("seed", required=True)
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "synth-data", ["seed", "docs_per_class", "dim", "out"])
+    manifest = _start_manifest(opts, out)
     corpus = generate_synthetic(
-        docs_per_class=opts.get("docs_per_class", int),
-        dim=opts.get("dim", int),
+        docs_per_class=opts.get("docs_per_class"),
+        dim=opts.get("dim"),
         seed=seed,
     )
     paths = write_synthetic(corpus, out)
@@ -248,24 +279,21 @@ def _train_config(opts) -> TrainConfig:
     if kind not in DISTANCE_KINDS:
         raise UsageError(f"--distance must be one of {'/'.join(DISTANCE_KINDS)}")
     return TrainConfig(
-        subspace_dim=opts.get("d", int),
-        seed=opts.get("seed", int, required=True),
-        beta=opts.get("beta", float),
+        subspace_dim=opts.get("d"),
+        seed=opts.get("seed", required=True),
+        beta=opts.get("beta"),
         distance_kind=kind,
-        lr_prototype=opts.get("lr_w", float),
-        lr_relevance=opts.get("lr_lambda", float),
-        epochs=opts.get("epochs", int),
-        prototypes_per_class=opts.get("per_class", int),
+        lr_prototype=opts.get("lr_w"),
+        lr_relevance=opts.get("lr_lambda"),
+        epochs=opts.get("epochs"),
+        prototypes_per_class=opts.get("per_class"),
     )
 
 
 def cmd_train(opts: Options) -> int:
     config = _train_config(opts)
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "train",
-                               ["embeddings", "stopwords", "corpus", "out", "d", "beta",
-                                "distance", "epochs", "lr_w", "lr_lambda", "per_class",
-                                "seed", "train_fraction"])
+    manifest = _start_manifest(opts, out)
     table, stoplist = _load_pipeline_inputs(opts)
     if config.subspace_dim > table.dim:
         raise DimensionError(
@@ -274,7 +302,7 @@ def cmd_train(opts: Options) -> int:
         )
     records = ingest(opts.get("corpus", required=True))
 
-    fraction = opts.get("train_fraction", float)
+    fraction = opts.get("train_fraction")
     test_records = None
     if fraction is not None:
         train_records, test_records = split(records, fraction, config.seed)
@@ -296,11 +324,9 @@ def cmd_train(opts: Options) -> int:
     manifest.add_output(model_path)
 
     log_path = out / "training_log.csv"
-    with log_path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["epoch", "mean_cost", "train_accuracy"])
-        for epoch, cost, acc in state.training_log:
-            writer.writerow([epoch, format(cost, ".17g"), format(acc, ".17g")])
+    _write_csv(log_path, ["epoch", "mean_cost", "train_accuracy"],
+               ([epoch, format(cost, ".17g"), format(acc, ".17g")]
+                for epoch, cost, acc in state.training_log))
     manifest.add_output(log_path)
 
     print(f"model {model_path}")
@@ -333,8 +359,7 @@ def cmd_evaluate(opts: Options) -> int:
               f"recall {metrics['recall']!r} support {int(metrics['support'])}")
     out = _out_dir(opts, required=False)
     if out is not None:
-        manifest = _start_manifest(opts, out, "evaluate",
-                                   ["model", "corpus", "embeddings", "stopwords", "out"])
+        manifest = _start_manifest(opts, out)
         path = out / "evaluation.json"
         path.write_text(json.dumps({
             "accuracy": report.accuracy,
@@ -351,18 +376,13 @@ def cmd_predict(opts: Options) -> int:
     state = load_model(opts.get("model", required=True))
     table, stoplist = _load_pipeline_inputs(opts, model=state)
     records = ingest(opts.get("corpus", required=True))
-    rows = []
-    skipped = []
-    for rec in records:
-        try:
-            _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist,
-                                         state.subspace_dim)
-            label, dists = classify(sub, state)
-        except PER_RECORD_ERRORS as exc:
-            skipped.append((rec.case_id, str(exc)))
-            log.warning("skipping %s: %s", rec.case_id, exc)
-            continue
-        rows.append([rec.case_id, label] + [format(v, ".17g") for v in dists])
+
+    def predict_one(rec):
+        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, state.subspace_dim)
+        label, dists = classify(sub, state)
+        return [rec.case_id, label] + [format(v, ".17g") for v in dists]
+
+    rows, skipped = map_records(records, predict_one)
     header = ["case_id", "predicted_label"] + [
         f"dist_{i}_{p.label}" for i, p in enumerate(state.prototypes)
     ]
@@ -372,13 +392,9 @@ def cmd_predict(opts: Options) -> int:
         writer.writerow(header)
         writer.writerows(rows)
     else:
-        manifest = _start_manifest(opts, out, "predict",
-                                   ["model", "corpus", "embeddings", "stopwords", "out"])
+        manifest = _start_manifest(opts, out)
         path = out / "predictions.csv"
-        with path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
+        _write_csv(path, header, rows)
         manifest.add_output(path)
         manifest.finalize(skipped=len(skipped))
         print(f"predictions {path}")
@@ -389,20 +405,14 @@ def cmd_explain(opts: Options) -> int:
     state = load_model(opts.get("model", required=True))
     table, stoplist = _load_pipeline_inputs(opts, model=state)
     records = ingest(opts.get("corpus", required=True))
-    top_k = opts.get("top_k", int)
+    top_k = opts.get("top_k")
     positive = opts.get("positive_label")
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "explain",
-                               ["model", "corpus", "embeddings", "stopwords",
-                                "top_k", "positive_label", "out"])
-    reports = []
-    skipped = []
-    for rec in records:
-        try:
-            reports.append(explanation_report(rec, state, table, stoplist, top_k, positive))
-        except PER_RECORD_ERRORS as exc:
-            skipped.append((rec.case_id, str(exc)))
-            log.warning("skipping %s: %s", rec.case_id, exc)
+    manifest = _start_manifest(opts, out)
+    if positive is not None:
+        check_positive_label(state, positive)
+    reports, skipped = map_records(
+        records, lambda rec: explanation_report(rec, state, table, stoplist, top_k, positive))
     jsonl_path = out / "explanations.jsonl"
     csv_path = out / "explanations.csv"
     write_reports_jsonl(reports, jsonl_path)
@@ -421,9 +431,7 @@ def cmd_score_corpus(opts: Options) -> int:
     table, stoplist = _load_pipeline_inputs(opts, model=state)
     records = ingest(opts.get("corpus", required=True))
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "score-corpus",
-                               ["model", "corpus", "embeddings", "stopwords",
-                                "positive_label", "threshold", "out"])
+    manifest = _start_manifest(opts, out)
     scored, skipped = batch_score(records, state, table, stoplist, positive)
     ranked = rank(scored)
     path = out / "scored.csv"
@@ -431,14 +439,11 @@ def cmd_score_corpus(opts: Options) -> int:
     manifest.add_output(path)
     if skipped:
         skip_path = out / "skipped.csv"
-        with skip_path.open("w", encoding="utf-8", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(["case_id", "reason"])
-            writer.writerows(skipped)
+        _write_csv(skip_path, ["case_id", "reason"], skipped)
         manifest.add_output(skip_path)
     manifest.finalize(scored=len(ranked), skipped=len(skipped))
     print(f"scored {path}")
-    threshold = opts.get("threshold", float)
+    threshold = opts.get("threshold")
     if threshold is not None:
         print(f"above_threshold {count_above(ranked, threshold)}")
     return 0
@@ -455,7 +460,7 @@ def cmd_rank(opts: Options) -> int:
             writer.writerow([s.case_id, format(s.score, ".17g"),
                              format(s.percentile, ".17g"), s.predicted_label])
     else:
-        manifest = _start_manifest(opts, out, "rank", ["scored", "out"])
+        manifest = _start_manifest(opts, out)
         path = out / "ranked.csv"
         write_scored(ranked, path)
         manifest.add_output(path)
@@ -465,21 +470,17 @@ def cmd_rank(opts: Options) -> int:
 
 
 def cmd_sample(opts: Options) -> int:
-    seed = opts.get("seed", int, required=True)
+    seed = opts.get("seed", required=True)
     scored = rank(read_scored(opts.get("scored", required=True)))
     bands = parse_bands(opts.get("bands", required=True))
-    per_band = opts.get("per_band", int)
+    per_band = opts.get("per_band")
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "sample",
-                               ["scored", "bands", "per_band", "seed", "out"])
+    manifest = _start_manifest(opts, out)
     sampled = sample_for_annotation(scored, bands, per_band, seed)
     path = out / "sample.csv"
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["band_lo", "band_hi", "case_id"])
-        for (lo, hi), ids in sampled.items():
-            for case_id in ids:
-                writer.writerow([format(lo, "g"), format(hi, "g"), case_id])
+    _write_csv(path, ["band_lo", "band_hi", "case_id"],
+               ([format(lo, "g"), format(hi, "g"), case_id]
+                for (lo, hi), ids in sampled.items() for case_id in ids))
     manifest.add_output(path)
     manifest.finalize(sampled=sum(len(v) for v in sampled.values()))
     print(f"sample {path}")
@@ -490,10 +491,9 @@ def cmd_calibrate(opts: Options) -> int:
     scored = rank(read_scored(opts.get("scored", required=True)))
     annotations = read_annotations(opts.get("annotations", required=True))
     bands = parse_bands(opts.get("bands", required=True))
-    target = opts.get("target_precision", float)
+    target = opts.get("target_precision")
     out = _out_dir(opts)
-    manifest = _start_manifest(opts, out, "calibrate",
-                               ["scored", "annotations", "bands", "target_precision", "out"])
+    manifest = _start_manifest(opts, out)
     report = calibrate(scored, annotations, bands, target)
     path = out / "calibration.json"
     path.write_text(json.dumps({
@@ -524,7 +524,7 @@ def cmd_calibrate(opts: Options) -> int:
 
 
 def cmd_grad_check(opts: Options) -> int:
-    seed = opts.get("seed", int, default=20240)
+    seed = opts.get("seed", default=20240)
     results, worst, elapsed = run_gradient_checks(base_seed=seed)
     for r in results:
         log.info("dim=%d d=%d kind=%s seed=%d rel_error=%.3e",
@@ -542,6 +542,32 @@ def cmd_grad_check(opts: Options) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
+# name -> (function, help, flags it accepts; also its manifest config snapshot)
+_COMMANDS = {
+    "synth-data": (cmd_synth_data, "generate the synthetic two-class corpus",
+                   ("seed", "docs_per_class", "dim", "out")),
+    "train": (cmd_train, "train a classifier on a labeled corpus",
+              ("embeddings", "stopwords", "corpus", "out", "d", "beta", "distance", "epochs",
+               "lr_w", "lr_lambda", "per_class", "seed", "train_fraction")),
+    "evaluate": (cmd_evaluate, "accuracy and per-class metrics on a labeled corpus",
+                 ("model", "corpus", "embeddings", "stopwords", "out")),
+    "predict": (cmd_predict, "nearest-prototype labels for a corpus",
+                ("model", "corpus", "embeddings", "stopwords", "out")),
+    "explain": (cmd_explain, "per-word impact reports for a corpus",
+                ("model", "corpus", "embeddings", "stopwords", "top_k", "positive_label", "out")),
+    "score-corpus": (cmd_score_corpus, "probability-score and rank a corpus",
+                     ("model", "corpus", "embeddings", "stopwords", "positive_label",
+                      "threshold", "out")),
+    "rank": (cmd_rank, "sort a scored file and fill percentiles", ("scored", "out")),
+    "calibrate": (cmd_calibrate, "per-band positive fractions from annotations",
+                  ("scored", "annotations", "bands", "target_precision", "out")),
+    "sample": (cmd_sample, "sample cases per percentile band for annotation",
+               ("scored", "bands", "per_band", "seed", "out")),
+    "grad-check": (cmd_grad_check, "verify analytic gradients against finite differences",
+                   ("seed",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-lvq",
@@ -549,51 +575,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, func, help_text):
-        p = sub.add_parser(name, help=help_text)
+    for command, (func, help_text, names) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file; flags override")
-        p.add_argument("--embeddings", help="embedding file (word + floats per line)")
-        p.add_argument("--stopwords", help="stop-word file (default: packaged English list)")
-        p.add_argument("--corpus", help="corpus JSON-lines file or directory of .txt files")
-        p.add_argument("--model", help="model file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--scored", help="scored-cases CSV (from score-corpus/rank)")
-        p.add_argument("--annotations", help="annotation JSON-lines file")
-        p.add_argument("--d", type=int, help="subspace dimension (default 50)")
-        p.add_argument("--beta", type=float, help="sigmoid slope (default 5)")
-        p.add_argument("--distance", choices=list(DISTANCE_KINDS), help="distance kind")
-        p.add_argument("--epochs", type=int, help="training epochs (default 100)")
-        p.add_argument("--lr-w", dest="lr_w", type=float, help="prototype learning rate")
-        p.add_argument("--lr-lambda", dest="lr_lambda", type=float,
-                       help="relevance learning rate")
-        p.add_argument("--seed", type=int, help="random seed")
-        p.add_argument("--train-fraction", dest="train_fraction", type=float,
-                       help="train split fraction in (0,1)")
-        p.add_argument("--positive-label", dest="positive_label", help="positive class label")
-        p.add_argument("--threshold", type=float, help="score threshold")
-        p.add_argument("--top-k", dest="top_k", type=int, help="words per explanation")
-        p.add_argument("--bands", help="percentile bands, e.g. '87:88,88:89'")
-        p.add_argument("--per-band", dest="per_band", type=int, help="samples per band")
-        p.add_argument("--per-class", dest="per_class", type=int, help="prototypes per class")
-        p.add_argument("--target-precision", dest="target_precision", type=float,
-                       help="calibration target precision")
-        p.add_argument("--docs-per-class", dest="docs_per_class", type=int,
-                       help="synthetic documents per class")
-        p.add_argument("--dim", type=int, help="synthetic embedding dimension")
-        return p
-
-    add("synth-data", cmd_synth_data, "generate the synthetic two-class corpus")
-    add("train", cmd_train, "train a classifier on a labeled corpus")
-    add("evaluate", cmd_evaluate, "accuracy and per-class metrics on a labeled corpus")
-    add("predict", cmd_predict, "nearest-prototype labels for a corpus")
-    add("explain", cmd_explain, "per-word impact reports for a corpus")
-    add("score-corpus", cmd_score_corpus, "probability-score and rank a corpus")
-    add("rank", cmd_rank, "sort a scored file and fill percentiles")
-    add("calibrate", cmd_calibrate, "per-band positive fractions from annotations")
-    add("sample", cmd_sample, "sample cases per percentile band for annotation")
-    add("grad-check", cmd_grad_check, "verify analytic gradients against finite differences")
+        for name in names:
+            flag = _FLAGS[name]
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=flag.type,
+                           choices=flag.choices, help=flag.help)
     return parser
 
 

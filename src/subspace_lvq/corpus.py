@@ -12,24 +12,15 @@ import bisect
 import csv
 import dataclasses
 import json
-import logging
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .embedding import EmbeddingTable, PreprocessedDoc, WordMatrix, embed, preprocess
-from .errors import (
-    PER_RECORD_ERRORS,
-    DataError,
-    DimensionError,
-    EmptyDocumentError,
-    FormatError,
-)
-from .model import ModelState, classify, score
+from .errors import DataError, DimensionError, EmptyDocumentError, FormatError, map_records
+from .model import ModelState, _positive_probability, check_positive_label, classify
 from .subspace import LabeledSubspace, Subspace, compute_subspace
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -191,19 +182,15 @@ def corpus_to_subspaces(
     records: list[CaseRecord], table: EmbeddingTable, stoplist, d: int,
 ) -> tuple[list[LabeledSubspace], list[tuple[str, str]]]:
     """Pipeline a labeled corpus into subspaces; skip and report failures."""
-    out: list[LabeledSubspace] = []
-    skipped: list[tuple[str, str]] = []
     for rec in records:
         if rec.label is None:
             raise DataError(f"record {rec.case_id!r} lacks a label")
-        try:
-            _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, d)
-        except PER_RECORD_ERRORS as exc:
-            skipped.append((rec.case_id, str(exc)))
-            log.warning("skipping %s: %s", rec.case_id, exc)
-            continue
-        out.append(LabeledSubspace(subspace=sub, label=rec.label))
-    return out, skipped
+
+    def subspace_of(rec):
+        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, d)
+        return LabeledSubspace(subspace=sub, label=rec.label)
+
+    return map_records(records, subspace_of)
 
 
 def batch_score(
@@ -215,26 +202,23 @@ def batch_score(
     Records that cannot be embedded (all tokens out of vocabulary) are
     skipped and reported rather than silently given a score, which would
     corrupt downstream calibration.  Each record is scored independently,
-    so the output multiset does not depend on processing order.
+    so the output multiset does not depend on processing order.  A
+    non-binary model or an unknown positive label fails the whole call.
     """
     if table.dim != model.embedding_dim:
         raise DimensionError(
             f"embedding dimension {table.dim} does not match model "
             f"dimension {model.embedding_dim}"
         )
-    scored: list[ScoredCase] = []
-    skipped: list[tuple[str, str]] = []
-    for rec in records:
-        try:
-            _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, model.subspace_dim)
-            value = score(sub, model, positive_label)
-            predicted, _ = classify(sub, model)
-        except PER_RECORD_ERRORS as exc:
-            skipped.append((rec.case_id, str(exc)))
-            log.warning("skipping %s: %s", rec.case_id, exc)
-            continue
-        scored.append(ScoredCase(case_id=rec.case_id, score=value, predicted_label=predicted))
-    return scored, skipped
+    check_positive_label(model, positive_label)
+
+    def score_one(rec):
+        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, model.subspace_dim)
+        predicted, dists = classify(sub, model)
+        return ScoredCase(case_id=rec.case_id, predicted_label=predicted,
+                          score=_positive_probability(dists, model, positive_label))
+
+    return map_records(records, score_one)
 
 
 def rank(scored: list[ScoredCase]) -> list[ScoredCase]:

@@ -1,9 +1,13 @@
-"""Exception types shared across the toolkit.
+"""Exception types shared across the toolkit, and the per-record skip loop.
 
 Every error raised by this package derives from :class:`ToolkitError` and
 carries a short machine-readable ``category`` used by the CLI for exit
 reporting.
 """
+
+import logging
+
+log = logging.getLogger(__name__)
 
 
 class ToolkitError(Exception):
@@ -79,3 +83,20 @@ class UsageError(ToolkitError):
 #: empty documents, zero matrices, degenerate scores); anything else, such
 #: as a dimension mismatch, aborts the whole run.
 PER_RECORD_ERRORS = (EmptyDocumentError, DataError, DegenerateSampleError)
+
+
+def map_records(records, fn) -> tuple[list, list[tuple[str, str]]]:
+    """Apply ``fn`` to each record, skipping and logging per-record failures.
+
+    Returns the results in input order, and ``(case_id, reason)`` for each
+    record whose ``fn`` raised one of :data:`PER_RECORD_ERRORS`.
+    """
+    results = []
+    skipped: list[tuple[str, str]] = []
+    for rec in records:
+        try:
+            results.append(fn(rec))
+        except PER_RECORD_ERRORS as exc:
+            skipped.append((rec.case_id, str(exc)))
+            log.warning("skipping %s: %s", rec.case_id, exc)
+    return results, skipped

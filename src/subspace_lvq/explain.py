@@ -19,7 +19,7 @@ import numpy as np
 from .corpus import CaseRecord, prepare_document
 from .embedding import EmbeddingTable, WordMatrix
 from .errors import DataError
-from .model import ModelState, classify, score
+from .model import ModelState, _positive_probability, check_positive_label, classify
 from .geometry import principal_system
 from .subspace import Subspace
 
@@ -56,13 +56,18 @@ def word_impacts(matrix: WordMatrix, doc: Subspace, model: ModelState) -> list[W
     not dominate by magnitude; repeated occurrences are aggregated (impacts
     summed, occurrences counted).
     """
-    predicted, dists = classify(doc, model)
+    _, dists = classify(doc, model)
+    return _impacts(matrix, doc, model, dists)[1]
+
+
+def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.ndarray):
+    """Runner-up prototype index and :func:`word_impacts`, given ``classify``'s distances."""
     labels = model.prototype_labels()
+    winner_idx = int(np.argmin(dists))
     competitor_idx = min(
-        (i for i, lab in enumerate(labels) if lab != predicted),
+        (i for i, lab in enumerate(labels) if lab != labels[winner_idx]),
         key=lambda i: dists[i],
     )
-    winner_idx = int(np.argmin(dists))
 
     norms = np.linalg.norm(matrix.columns, axis=0)
     safe = np.where(norms > 0, norms, 1.0)
@@ -81,7 +86,7 @@ def word_impacts(matrix: WordMatrix, doc: Subspace, model: ModelState) -> list[W
         counts[token] = counts.get(token, 0) + 1
     impacts = [WordImpact(word=w, impact=totals[w], occurrences=counts[w]) for w in totals]
     impacts.sort(key=lambda wi: (-abs(wi.impact), wi.word))
-    return impacts
+    return competitor_idx, impacts
 
 
 def explanation_report(
@@ -98,19 +103,16 @@ def explanation_report(
     _, matrix, sub = prepare_document(case.case_id, case.text, table, stoplist,
                                       model.subspace_dim)
     predicted, dists = classify(sub, model)
-    labels = model.prototype_labels()
-    runner_up = min(
-        (i for i, lab in enumerate(labels) if lab != predicted),
-        key=lambda i: dists[i],
-    )
     prob = None
     if len(model.class_labels) == 2:
-        prob = score(sub, model, positive_label if positive_label is not None else predicted)
-    impacts = word_impacts(matrix, sub, model)
+        scored_label = positive_label if positive_label is not None else predicted
+        check_positive_label(model, scored_label)
+        prob = _positive_probability(dists, model, scored_label)
+    runner_up, impacts = _impacts(matrix, sub, model, dists)
     return ExplanationReport(
         doc_id=case.case_id,
         predicted_label=predicted,
-        runner_up_label=labels[runner_up],
+        runner_up_label=model.prototypes[runner_up].label,
         score=prob,
         impacts=impacts[:k],
         top_k=k,

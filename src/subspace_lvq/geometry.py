@@ -98,6 +98,15 @@ def principal_angles(doc_basis: np.ndarray, proto_basis: np.ndarray) -> Principa
     return principal_system(doc_basis, proto_basis)
 
 
+def _misalignment(cosines: np.ndarray, kind: str) -> np.ndarray:
+    """Per-angle distance term: sin^2(theta), or theta^2 * 4/pi^2 for geodesic."""
+    if kind == CHORDAL:
+        return 1.0 - cosines**2
+    if kind == GEODESIC:
+        return _GEODESIC_SCALE * np.arccos(cosines) ** 2
+    raise ValueError(f"unknown distance kind {kind!r}")
+
+
 def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> float:
     """Relevance-weighted subspace distance from principal cosines.
 
@@ -113,25 +122,13 @@ def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> fl
     d = weights.size
     if m > d:
         raise NumericError(f"more principal angles ({m}) than weights ({d})")
-    if kind == CHORDAL:
-        per_angle = 1.0 - cosines**2
-    elif kind == GEODESIC:
-        per_angle = _GEODESIC_SCALE * np.arccos(cosines) ** 2
-    else:
-        raise ValueError(f"unknown distance kind {kind!r}")
-    return float(weights[:m] @ per_angle + weights[m:].sum())
+    return float(weights[:m] @ _misalignment(cosines, kind) + weights[m:].sum())
 
 
 def distance_gradient_weights(cosines: np.ndarray, n_weights: int, kind: str) -> np.ndarray:
     """d(distance)/d(weights): per-angle misalignment, 1 for missing angles."""
     grad = np.ones(n_weights)
-    m = cosines.size
-    if kind == CHORDAL:
-        grad[:m] = 1.0 - cosines**2
-    elif kind == GEODESIC:
-        grad[:m] = _GEODESIC_SCALE * np.arccos(cosines) ** 2
-    else:
-        raise ValueError(f"unknown distance kind {kind!r}")
+    grad[:cosines.size] = _misalignment(cosines, kind)
     return grad
 
 

@@ -167,6 +167,16 @@ def classify(doc: Subspace, model: ModelState) -> tuple[str, np.ndarray]:
     return model.prototypes[int(np.argmin(dists))].label, dists
 
 
+def check_positive_label(model: ModelState, positive_label: str) -> None:
+    """Reject probability scoring on a non-binary model or an unknown label."""
+    if len(model.class_labels) != 2:
+        raise DataError(
+            f"probability scoring needs a binary model, got {len(model.class_labels)} classes"
+        )
+    if positive_label not in model.class_labels:
+        raise DataError(f"unknown positive label {positive_label!r}")
+
+
 def score(doc: Subspace, model: ModelState, positive_label: str) -> float:
     """Probability that the document belongs to the positive class.
 
@@ -174,13 +184,13 @@ def score(doc: Subspace, model: ModelState, positive_label: str) -> float:
     positive and nearest negative prototypes.  Requires a binary model;
     equals 0.5 exactly on the decision boundary d_pos = d_neg.
     """
-    if len(model.class_labels) != 2:
-        raise DataError(
-            f"probability scoring needs a binary model, got {len(model.class_labels)} classes"
-        )
-    if positive_label not in model.class_labels:
-        raise DataError(f"unknown positive label {positive_label!r}")
+    check_positive_label(model, positive_label)
     _, dists = classify(doc, model)
+    return _positive_probability(dists, model, positive_label)
+
+
+def _positive_probability(dists: np.ndarray, model: ModelState, positive_label: str) -> float:
+    """:func:`score` from the prototype distances :func:`classify` returned."""
     labels = model.prototype_labels()
     pos = min(d for d, lab in zip(dists, labels) if lab == positive_label)
     neg = min(d for d, lab in zip(dists, labels) if lab != positive_label)
@@ -276,33 +286,45 @@ def init_prototypes(
     return prototypes
 
 
-def _winners(dists: np.ndarray, correct_mask: np.ndarray) -> tuple[int, int]:
+def _sample_terms(dists: np.ndarray, correct_mask: np.ndarray, beta: float):
+    """``(j, k, e, de/dd+, de/dd-)`` for one sample, or None if it is degenerate.
+
+    ``j``/``k`` are the nearest correct-/wrong-class prototypes (ties to the
+    lowest index), ``e`` the sigmoid cost; None when both are at distance 0.
+    """
     correct_idx = np.flatnonzero(correct_mask)
     wrong_idx = np.flatnonzero(~correct_mask)
     j = int(correct_idx[np.argmin(dists[correct_idx])])
     k = int(wrong_idx[np.argmin(dists[wrong_idx])])
-    return j, k
+    d_plus, d_minus = dists[j], dists[k]
+    total = d_plus + d_minus
+    if total <= 0.0:
+        return None
+    e_val = sigmoid(beta * (d_plus - d_minus) / total)
+    common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
+    return j, k, e_val, common * d_minus, -common * d_plus
+
+
+def _cost_pass(bases, proto_labels, weights, examples, beta, kind) -> tuple[float, int, int]:
+    """Summed cost, non-degenerate samples and nearest-prototype hits over (basis, label) pairs."""
+    cost, counted, correct = 0.0, 0, 0
+    for doc_basis, label in examples:
+        dists = _distances(doc_basis, bases, weights, kind)
+        correct += proto_labels[int(np.argmin(dists))] == label
+        terms = _sample_terms(dists, np.array([pl == label for pl in proto_labels]), beta)
+        if terms is not None:
+            cost += terms[2]
+            counted += 1
+    return cost, counted, correct
 
 
 def _pass_stats(training, bases, proto_labels, weights, beta, kind) -> tuple[float, float]:
     """Mean cost and accuracy of the current state over a labeled set."""
-    cost_sum = 0.0
-    counted = 0
-    correct = 0
-    for ex in training:
-        dists = _distances(ex.subspace.basis, bases, weights, kind)
-        if proto_labels[int(np.argmin(dists))] == ex.label:
-            correct += 1
-        mask = np.array([lab == ex.label for lab in proto_labels])
-        j, k = _winners(dists, mask)
-        total = dists[j] + dists[k]
-        if total <= 0.0:
-            continue
-        cost_sum += sigmoid(beta * (dists[j] - dists[k]) / total)
-        counted += 1
+    examples = [(ex.subspace.basis, ex.label) for ex in training]
+    cost, counted, correct = _cost_pass(bases, proto_labels, weights, examples, beta, kind)
     if counted == 0:
         raise NumericError("every training sample is degenerate (zero distances)")
-    return cost_sum / counted, correct / len(training)
+    return cost / counted, correct / len(training)
 
 
 def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None) -> ModelState:
@@ -357,18 +379,12 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
             dists = np.array(
                 [weighted_distance(s.cosines, weights, kind) for s in systems]
             )
-            j, k = _winners(dists, masks[ex.label])
-            d_plus, d_minus = dists[j], dists[k]
-            total = d_plus + d_minus
-            if total <= 0.0:
+            terms = _sample_terms(dists, masks[ex.label], beta)
+            if terms is None:
                 degenerate += 1
                 log.debug("skipping degenerate sample %s (epoch %d)", ex.subspace.doc_id, epoch)
                 continue
-            e_val = sigmoid(beta * (d_plus - d_minus) / total)
-            common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
-            de_dplus = common * d_minus
-            de_dminus = -common * d_plus
-
+            j, k, _, de_dplus, de_dminus = terms
             new_j = qr_retract(bases[j] - lr_w * de_dplus * distance_gradient_basis(systems[j], weights, kind))
             new_k = qr_retract(bases[k] - lr_w * de_dminus * distance_gradient_basis(systems[k], weights, kind))
             if not (np.all(np.isfinite(new_j)) and np.all(np.isfinite(new_k))):
@@ -421,16 +437,7 @@ def total_cost(bases, proto_labels, weights, examples, beta, kind) -> float:
     ``examples`` is a list of (doc_basis, label).  No orthonormality
     validation, so finite-difference probes of the raw entries are allowed.
     """
-    cost = 0.0
-    for doc_basis, label in examples:
-        dists = _distances(doc_basis, bases, weights, kind)
-        mask = np.array([pl == label for pl in proto_labels])
-        j, k = _winners(dists, mask)
-        total = dists[j] + dists[k]
-        if total <= 0.0:
-            continue
-        cost += sigmoid(beta * (dists[j] - dists[k]) / total)
-    return cost
+    return _cost_pass(bases, proto_labels, weights, examples, beta, kind)[0]
 
 
 def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind):
@@ -442,17 +449,11 @@ def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind)
     for doc_basis, label in examples:
         systems = [principal_system(doc_basis, b) for b in bases]
         dists = np.array([weighted_distance(s.cosines, weights, kind) for s in systems])
-        mask = np.array([pl == label for pl in proto_labels])
-        j, k = _winners(dists, mask)
-        d_plus, d_minus = dists[j], dists[k]
-        total = d_plus + d_minus
-        if total <= 0.0:
+        terms = _sample_terms(dists, np.array([pl == label for pl in proto_labels]), beta)
+        if terms is None:
             continue
-        e_val = sigmoid(beta * (d_plus - d_minus) / total)
+        j, k, e_val, de_dplus, de_dminus = terms
         cost += e_val
-        common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
-        de_dplus = common * d_minus
-        de_dminus = -common * d_plus
         grads_w[j] += de_dplus * distance_gradient_basis(systems[j], weights, kind)
         grads_w[k] += de_dminus * distance_gradient_basis(systems[k], weights, kind)
         grad_l += de_dplus * distance_gradient_weights(systems[j].cosines, n_weights, kind)

@@ -268,3 +268,105 @@ class TestFailedRuns:
         assert manifest["status"] == "failed"
         assert manifest["error"]["category"] == "interrupted"
         assert "finished_at" in manifest
+
+
+class TestPositiveLabel:
+    """An unknown positive label fails the whole run, not each record."""
+
+    def assert_failed_on_label(self, code, out, capsys):
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: data:") and "'zzz'" in err
+        assert "skipping" not in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == "data"
+        assert "'zzz'" in manifest["error"]["message"]
+
+    def test_score_corpus_unknown_label(self, workspace, tmp_path, capsys):
+        data, out = workspace["data"], tmp_path / "scored"
+        code = main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--embeddings", str(data / "embeddings.txt"),
+                     "--positive-label", "zzz", "--out", str(out)])
+        self.assert_failed_on_label(code, out, capsys)
+
+    def test_explain_unknown_label(self, workspace, tmp_path, capsys):
+        data, out = workspace["data"], tmp_path / "exp"
+        code = main(["explain", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(data / "corpus.jsonl"),
+                     "--embeddings", str(data / "embeddings.txt"),
+                     "--positive-label", "zzz", "--out", str(out)])
+        self.assert_failed_on_label(code, out, capsys)
+
+
+class TestSubcommandFlags:
+    """Each subcommand takes its own flags; its manifest snapshots exactly those."""
+
+    INPUTS = ["model", "corpus", "embeddings", "stopwords", "out"]
+    EXPECTED = {
+        "synth-data": ["seed", "docs_per_class", "dim", "out"],
+        "train": ["embeddings", "stopwords", "corpus", "out", "d", "beta", "distance",
+                  "epochs", "lr_w", "lr_lambda", "per_class", "seed", "train_fraction"],
+        "evaluate": INPUTS,
+        "predict": INPUTS,
+        "explain": INPUTS + ["top_k", "positive_label"],
+        "score-corpus": INPUTS + ["positive_label", "threshold"],
+        "rank": ["scored", "out"],
+        "sample": ["scored", "bands", "per_band", "seed", "out"],
+        "calibrate": ["scored", "annotations", "bands", "target_precision", "out"],
+    }
+
+    @pytest.mark.parametrize("argv", [["rank", "--epochs", "5"], ["explain", "--seed", "1"]])
+    def test_foreign_flag_is_rejected(self, argv, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path / "x")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def config_of(self, out):
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        return manifest["config"]
+
+    def test_manifest_config_keys(self, workspace, tmp_path):
+        data, run = workspace["data"], workspace["run"]
+        seen = {"synth-data": self.config_of(data), "train": self.config_of(run)}
+        inputs = ["--model", str(run / "model.bin"), "--corpus", str(run / "test.jsonl"),
+                  "--embeddings", str(data / "embeddings.txt")]
+        scored = tmp_path / "score-corpus" / "scored.csv"
+        annotations = tmp_path / "ann.jsonl"
+        commands = {
+            "score-corpus": inputs + ["--positive-label", "topic_a"],
+            "evaluate": inputs,
+            "predict": inputs,
+            "explain": inputs + ["--top-k", "3"],
+            "rank": ["--scored", str(scored)],
+            "sample": ["--scored", str(scored), "--bands", "0:50", "--per-band", "2",
+                       "--seed", "1"],
+            "calibrate": ["--scored", str(scored), "--annotations", str(annotations),
+                          "--bands", "0:50,50:100"],
+        }
+        for command, argv in commands.items():
+            out = tmp_path / command
+            assert main([command] + argv + ["--out", str(out)]) == 0
+            seen[command] = self.config_of(out)
+            if command == "score-corpus":
+                annotations.write_text("".join(
+                    json.dumps({"case_id": s.case_id, "positive": s.score > 0.5}) + "\n"
+                    for s in read_scored(scored)))
+        assert {c: sorted(cfg) for c, cfg in seen.items()} == \
+            {c: sorted(keys) for c, keys in self.EXPECTED.items()}
+        assert [len(self.EXPECTED[c]) for c in ("train", "score-corpus", "explain", "sample",
+                                                "calibrate", "predict", "evaluate", "rank",
+                                                "synth-data")] == [13, 7, 7, 5, 5, 5, 5, 2, 4]
+
+    def test_config_file_may_hold_other_commands_keys(self, tmp_path, capsys):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label\nx,0.5,,p\ny,0.9,,p\n")
+        config = tmp_path / "shared.conf"
+        config.write_text("epochs = 5\nseed = 1\ntop_k = 3\n"
+                          f"scored = {path}\n")
+        out = tmp_path / "ranked"
+        assert main(["rank", "--config", str(config), "--out", str(out)]) == 0
+        assert self.config_of(out) == {"scored": str(path), "out": str(out)}

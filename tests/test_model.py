@@ -10,6 +10,7 @@ from subspace_lvq.geometry import (
     CHORDAL,
     GEODESIC,
     orthonormality_residual,
+    project_simplex,
     qr_retract,
 )
 from subspace_lvq.model import (
@@ -27,6 +28,7 @@ from subspace_lvq.model import (
     gradient_check,
     init_prototypes,
     score,
+    total_cost_and_gradients,
     train,
 )
 from subspace_lvq.subspace import LabeledSubspace, Subspace
@@ -257,6 +259,41 @@ class TestTrain:
     def test_gradients_match_finite_differences(self, kind):
         result = gradient_check(12, 3, kind, seed=123)
         assert result.rel_error < 1e-5
+
+    @pytest.mark.parametrize("kind", [CHORDAL, GEODESIC])
+    def test_sgd_step_follows_the_checked_gradients(self, kind):
+        # The gradients grad-check verifies are the ones train applies: one
+        # update equals a retracted step along total_cost_and_gradients.
+        rng = np.random.default_rng(11)
+        training = [
+            LabeledSubspace(sub(random_orthonormal(8, 2, rng), f"d{i}"), "ab"[i])
+            for i in range(2)
+        ]
+        config = TrainConfig(subspace_dim=3, seed=4, epochs=1, distance_kind=kind,
+                             lr_prototype=0.3, lr_relevance=0.2)
+        steps = []
+        train(training, config,
+              update_hook=lambda bases, weights: steps.append(
+                  ([b.copy() for b in bases], weights.copy())))
+        assert len(steps) == 2
+
+        # train's documented seeding: init and shuffle streams spawned from the seed
+        init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
+        bases = [p.basis for p in init_prototypes(training, 1, 3, seed=init_seq)]
+        weights = np.full(3, 1.0 / 3.0)
+        first = training[int(np.random.default_rng(shuffle_seq).permutation(2)[0])]
+        _, grads_w, grad_l = total_cost_and_gradients(
+            bases, ["a", "b"], weights, [(first.subspace.basis, first.label)],
+            config.beta, kind)
+
+        got_bases, got_weights = steps[0]
+        for basis, grad, got in zip(bases, grads_w, got_bases):
+            assert np.abs(grad).max() > 1e-6
+            np.testing.assert_allclose(
+                got, qr_retract(basis - config.lr_prototype * grad), rtol=0, atol=1e-12)
+        expected_weights = project_simplex(weights - config.lr_relevance * grad_l)
+        assert np.abs(expected_weights - weights).max() > 1e-6
+        np.testing.assert_allclose(got_weights, expected_weights, rtol=0, atol=1e-12)
 
     def test_geodesic_training_runs(self):
         rng = np.random.default_rng(7)
