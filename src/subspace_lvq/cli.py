@@ -271,6 +271,7 @@ def cmd_synth_data(opts: Options) -> int:
     print(f"corpus {paths['corpus']}")
     print(f"embeddings {paths['embeddings']}")
     print(f"truth {paths['truth']}")
+    print(f"annotations {paths['annotations']}")
     return 0
 
 

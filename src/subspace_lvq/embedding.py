@@ -12,6 +12,7 @@ import hashlib
 import io
 import logging
 import zlib
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,17 +38,57 @@ _CACHE_META = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<
 _CHUNK = 1 << 20
 
 
+class RowMap(Mapping):
+    """Read-only word -> vector mapping over the rows of one ``(V, D)`` matrix.
+
+    ``rows`` maps each word to its row; every value is a view of that row.
+    """
+
+    def __init__(self, words, matrix: np.ndarray):
+        self.rows = dict(zip(words, range(len(matrix))))
+        self.matrix = matrix
+
+    def __getitem__(self, word: str) -> np.ndarray:
+        return self.matrix[self.rows[word]]
+
+    def __contains__(self, word) -> bool:
+        return word in self.rows
+
+    def __iter__(self):
+        return iter(self.rows)
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+
 @dataclass(frozen=True)
 class EmbeddingTable:
     """Immutable word -> vector map of fixed dimension.
 
     Safe to share across threads once loaded; vectors are float64 and all
-    have length ``dim``.
+    have length ``dim``.  ``entries`` is a :class:`RowMap`: ``matrix`` is
+    the ``(V, D)`` table, ``rows`` maps each word to its row, and each
+    value is a row view.  Any other mapping given as ``entries`` is
+    stacked into one.
     """
 
     dim: int
-    entries: dict[str, np.ndarray]
+    entries: Mapping[str, np.ndarray]
     source_name: str = ""
+
+    def __post_init__(self):
+        if not isinstance(self.entries, RowMap):
+            matrix = np.array(list(self.entries.values()), dtype=np.float64)
+            object.__setattr__(self, "entries", RowMap(
+                self.entries, matrix.reshape(len(self.entries), self.dim)))
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return self.entries.matrix
+
+    @property
+    def rows(self) -> dict[str, int]:
+        return self.entries.rows
 
     def __contains__(self, word: str) -> bool:
         return word in self.entries
@@ -128,7 +169,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         raise DimensionError(
             f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
         )
-    return EmbeddingTable(dim=dim, entries=dict(zip(words, matrix)), source_name=path.name)
+    return EmbeddingTable(dim=dim, entries=RowMap(words, matrix), source_name=path.name)
 
 
 class _HashingReader(io.RawIOBase):
@@ -366,20 +407,15 @@ def embed(doc: PreprocessedDoc, table: EmbeddingTable) -> WordMatrix:
         If no token has an embedding.  Batch callers typically skip the
         document with a warning; single-document callers abort.
     """
-    vectors = []
-    tokens = []
-    oov = 0
-    for tok in doc.kept_tokens:
-        vec = table.entries.get(tok)
-        if vec is None:
-            oov += 1
-        else:
-            vectors.append(vec)
-            tokens.append(tok)
+    rows = table.rows
+    tokens = [tok for tok in doc.kept_tokens if tok in rows]
+    oov = len(doc.kept_tokens) - len(tokens)
     doc.dropped_oov = oov
-    if not vectors:
+    if not tokens:
         doc.coverage = 0.0
         raise EmptyDocumentError(doc.doc_id)
     doc.coverage = len(tokens) / (len(tokens) + oov)
-    columns = np.column_stack(vectors)
+    # C order: reductions over the columns (explain's word norms) round
+    # differently on a transposed view.
+    columns = np.take(table.matrix, [rows[tok] for tok in tokens], axis=0).T.copy()
     return WordMatrix(doc_id=doc.doc_id, columns=columns, tokens=tokens)

@@ -41,11 +41,11 @@ class ExplanationReport:
     top_k: int
 
 
-def _alignment_energy(unit_words: np.ndarray, doc: Subspace, proto_basis, weights) -> np.ndarray:
-    """Per-word sum_i w_i (v_j . q_i)^2 over the matched prototype directions."""
-    system = principal_system(doc.basis, proto_basis)
-    m = system.cosines.size
-    proj = unit_words.T @ system.proto_directions  # (n_words, m)
+def _alignment_energy(unit_words: np.ndarray, doc: Subspace, proto_stack, weights) -> np.ndarray:
+    """Per-word sum_i w_i (v_j . q_i)^2 over each stacked prototype's matched directions."""
+    system = principal_system(doc.basis, proto_stack)
+    m = system.cosines.shape[-1]
+    proj = unit_words.T @ system.proto_directions  # (P, n_words, m)
     return proj**2 @ weights[:m]
 
 
@@ -73,10 +73,8 @@ def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.nda
     safe = np.where(norms > 0, norms, 1.0)
     unit_words = matrix.columns / safe
 
-    support = _alignment_energy(unit_words, doc, model.prototypes[winner_idx].basis,
-                                model.relevances)
-    oppose = _alignment_energy(unit_words, doc, model.prototypes[competitor_idx].basis,
-                               model.relevances)
+    support, oppose = _alignment_energy(
+        unit_words, doc, model.prototype_stack[[winner_idx, competitor_idx]], model.relevances)
     per_occurrence = support - oppose
 
     totals: dict[str, float] = {}

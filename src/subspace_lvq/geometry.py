@@ -24,10 +24,11 @@ _GEODESIC_SCALE = 4.0 / np.pi**2
 ORTHONORMAL_TOL = 1e-6
 
 
-def orthonormality_residual(basis: np.ndarray) -> float:
-    """Frobenius norm of B^T B - I."""
-    k = basis.shape[1]
-    return float(np.linalg.norm(basis.T @ basis - np.eye(k)))
+def orthonormality_residual(basis: np.ndarray) -> float | np.ndarray:
+    """Frobenius norm of B^T B - I; one norm per matrix of a ``(..., D, k)`` stack."""
+    k = basis.shape[-1]
+    res = np.linalg.norm(np.swapaxes(basis, -1, -2) @ basis - np.eye(k), axis=(-2, -1))
+    return float(res) if basis.ndim == 2 else res
 
 
 def check_orthonormal(basis, tol=ORTHONORMAL_TOL, name="basis"):
@@ -61,7 +62,8 @@ class PrincipalAngles:
     paired unit principal vectors inside each subspace.  ``right_vectors``
     holds the prototype-frame coordinates of ``proto_directions`` (the right
     singular vectors of the basis product), which the prototype gradient
-    needs.
+    needs.  For a stack of prototypes every field carries the stack's
+    leading axes in front of the shapes below.
     """
 
     cosines: np.ndarray          # (m,)
@@ -69,21 +71,27 @@ class PrincipalAngles:
     proto_directions: np.ndarray  # (D, m)
     right_vectors: np.ndarray    # (d, m)
 
+    def take(self, index) -> PrincipalAngles:
+        """The systems at ``index`` along the leading stack axis."""
+        return PrincipalAngles(self.cosines[index], self.doc_directions[index],
+                               self.proto_directions[index], self.right_vectors[index])
+
 
 def principal_system(doc_basis: np.ndarray, proto_basis: np.ndarray) -> PrincipalAngles:
     """Principal angles via the SVD of ``doc_basis.T @ proto_basis``.
 
-    No orthonormality validation; see :func:`principal_angles` for the
-    checked public entry point.
+    ``proto_basis`` may be a ``(..., D, d)`` stack, as for a numpy gufunc:
+    one SVD call then covers every prototype, and each slice of the result
+    equals the unstacked call bit for bit.  No orthonormality validation;
+    see :func:`principal_angles` for the checked public entry point.
     """
-    m_mat = doc_basis.T @ proto_basis
-    left, sigma, right_t = np.linalg.svd(m_mat, full_matrices=False)
-    cosines = np.clip(sigma, 0.0, 1.0)
+    left, sigma, right_t = np.linalg.svd(doc_basis.T @ proto_basis, full_matrices=False)
+    right = np.swapaxes(right_t, -1, -2)
     return PrincipalAngles(
-        cosines=cosines,
+        cosines=np.clip(sigma, 0.0, 1.0),
         doc_directions=doc_basis @ left,
-        proto_directions=proto_basis @ right_t.T,
-        right_vectors=right_t.T,
+        proto_directions=proto_basis @ right,
+        right_vectors=right,
     )
 
 
@@ -107,7 +115,7 @@ def _misalignment(cosines: np.ndarray, kind: str) -> np.ndarray:
     raise ValueError(f"unknown distance kind {kind!r}")
 
 
-def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> float:
+def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> float | np.ndarray:
     """Relevance-weighted subspace distance from principal cosines.
 
     chordal:   sum_i w_i * sin^2(theta_i)
@@ -116,31 +124,37 @@ def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> fl
     ``weights`` has one entry per prototype direction.  When the document
     realizes fewer angles than that (rank-deficient document), the missing
     indices are treated as fully misaligned (cosine 0), contributing w_i.
-    Both kinds take values in [0, 1] for weights on the simplex.
+    Both kinds take values in [0, 1] for weights on the simplex.  A
+    ``(..., m)`` stack of cosines gives an array of distances, one cosine
+    vector a float.
     """
-    m = cosines.size
+    m = cosines.shape[-1]
     d = weights.size
     if m > d:
         raise NumericError(f"more principal angles ({m}) than weights ({d})")
-    return float(weights[:m] @ _misalignment(cosines, kind) + weights[m:].sum())
+    dist = _misalignment(cosines, kind) @ weights[:m] + weights[m:].sum()
+    return float(dist) if cosines.ndim == 1 else dist
 
 
 def distance_gradient_weights(cosines: np.ndarray, n_weights: int, kind: str) -> np.ndarray:
-    """d(distance)/d(weights): per-angle misalignment, 1 for missing angles."""
-    grad = np.ones(n_weights)
-    grad[:cosines.size] = _misalignment(cosines, kind)
+    """d(distance)/d(weights): per-angle misalignment, 1 for missing angles.
+
+    Stacked ``(..., m)`` cosines give one gradient row per stack entry.
+    """
+    grad = np.ones(cosines.shape[:-1] + (n_weights,))
+    grad[..., :cosines.shape[-1]] = _misalignment(cosines, kind)
     return grad
 
 
 def distance_gradient_basis(angles: PrincipalAngles, weights: np.ndarray, kind: str) -> np.ndarray:
-    """d(distance)/d(prototype basis), a D x d matrix.
+    """d(distance)/d(prototype basis), a D x d matrix per (stacked) system.
 
     Uses the singular-value perturbation identity d sigma_i / dW =
     (doc principal direction i) (right singular vector i)^T.  Missing
     angles are constants and contribute nothing.
     """
     sigma = angles.cosines
-    m = sigma.size
+    m = sigma.shape[-1]
     if kind == CHORDAL:
         coeff = -2.0 * weights[:m] * sigma
     elif kind == GEODESIC:
@@ -152,20 +166,21 @@ def distance_gradient_basis(angles: PrincipalAngles, weights: np.ndarray, kind: 
         coeff = -2.0 * _GEODESIC_SCALE * weights[:m] * ratio
     else:
         raise ValueError(f"unknown distance kind {kind!r}")
-    return (angles.doc_directions * coeff) @ angles.right_vectors.T
+    return (angles.doc_directions * coeff[..., None, :]) @ np.swapaxes(angles.right_vectors, -1, -2)
 
 
 def qr_retract(mat: np.ndarray) -> np.ndarray:
     """Map a full-column-rank matrix to the orthonormal basis of its span.
 
     Thin QR with the diagonal of R forced positive, which makes the result
-    unique and deterministic.
+    unique and deterministic.  A ``(..., D, d)`` stack is retracted matrix
+    by matrix in one call, each slice bit-identical to the unstacked call.
     """
     q, r = np.linalg.qr(mat)
-    diag = np.diag(r)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
     if np.any(diag == 0.0):
         raise NumericError("rank-deficient update: QR retraction is undefined")
-    return q * np.sign(diag)
+    return q * np.sign(diag)[..., None, :]
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -107,6 +108,11 @@ class ModelState:
     def prototype_labels(self) -> list[str]:
         return [p.label for p in self.prototypes]
 
+    @cached_property
+    def prototype_stack(self) -> np.ndarray:
+        """The prototype bases as one ``(P, D, d)`` array, built on first use."""
+        return np.stack([p.basis for p in self.prototypes])
+
 
 def sigmoid(x: float) -> float:
     return 1.0 / (1.0 + math.exp(-x))
@@ -141,12 +147,15 @@ def _check_weights(weights: np.ndarray, atol: float = 1e-12):
         raise DataError("relevance weights must be nonnegative and sum to 1")
 
 
-def _distances(doc_basis: np.ndarray, bases: list[np.ndarray], weights, kind) -> np.ndarray:
-    out = np.empty(len(bases))
-    for i, basis in enumerate(bases):
-        sv = np.linalg.svd(doc_basis.T @ basis, compute_uv=False)
-        out[i] = weighted_distance(np.clip(sv, 0.0, 1.0), weights, kind)
-    return out
+def _distances(doc_bases, stack: np.ndarray, weights, kind) -> np.ndarray:
+    """``(n, P)`` distances from n same-width document bases to a ``(P, D, d)`` stack.
+
+    One values-only SVD call covers every pair.  It stacks the small
+    ``(n, P, m, d)`` basis products, not the ``(n, D, m)`` document bases.
+    """
+    products = np.stack([doc_basis.T @ stack for doc_basis in doc_bases])
+    sv = np.linalg.svd(products, compute_uv=False)
+    return weighted_distance(np.clip(sv, 0.0, 1.0), weights, kind)
 
 
 def classify(doc: Subspace, model: ModelState) -> tuple[str, np.ndarray]:
@@ -160,10 +169,8 @@ def classify(doc: Subspace, model: ModelState) -> tuple[str, np.ndarray]:
             f"document dimension {doc.basis.shape[0]} does not match model "
             f"dimension {model.embedding_dim}"
         )
-    dists = _distances(
-        doc.basis, [p.basis for p in model.prototypes],
-        model.relevances, model.distance_kind,
-    )
+    dists = _distances([doc.basis], model.prototype_stack,
+                       model.relevances, model.distance_kind)[0]
     return model.prototypes[int(np.argmin(dists))].label, dists
 
 
@@ -305,13 +312,45 @@ def _sample_terms(dists: np.ndarray, correct_mask: np.ndarray, beta: float):
     return j, k, e_val, common * d_minus, -common * d_plus
 
 
+def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
+    """One sample's cost and the distance gradients of its two winners.
+
+    Returns ``(pair, e, de_dd, basis_grads, weight_grads)``, or None for a
+    degenerate sample: ``pair`` is ``[j, k]`` (see :func:`_sample_terms`),
+    ``de_dd`` holds de/dd+ and de/dd-, and the ``(2, D, d)`` / ``(2, d)``
+    gradients are those of d+ and d-.
+    """
+    systems = principal_system(doc_basis, stack)
+    # One dot product per prototype: a stacked matrix-vector product rounds
+    # differently, and tests/test_stacked.py pins the SGD path's bits.
+    dists = np.array([weighted_distance(c, weights, kind) for c in systems.cosines])
+    terms = _sample_terms(dists, correct_mask, beta)
+    if terms is None:
+        return None
+    j, k, e_val, de_dplus, de_dminus = terms
+    winners = systems.take([j, k])
+    return ([j, k], e_val, np.array([de_dplus, de_dminus]),
+            distance_gradient_basis(winners, weights, kind),
+            distance_gradient_weights(winners.cosines, weights.size, kind))
+
+
 def _cost_pass(bases, proto_labels, weights, examples, beta, kind) -> tuple[float, int, int]:
-    """Summed cost, non-degenerate samples and nearest-prototype hits over (basis, label) pairs."""
+    """Summed cost, non-degenerate samples and nearest-prototype hits over (basis, label) pairs.
+
+    Distances come from one :func:`_distances` call per document width.
+    """
+    stack = np.asarray(bases)
+    by_width: dict[int, list[int]] = {}
+    for i, (doc_basis, _) in enumerate(examples):
+        by_width.setdefault(doc_basis.shape[1], []).append(i)
+    all_dists = np.empty((len(examples), len(proto_labels)))
+    for rows in by_width.values():
+        all_dists[rows] = _distances([examples[i][0] for i in rows], stack, weights, kind)
+    label_array = np.asarray(proto_labels)
     cost, counted, correct = 0.0, 0, 0
-    for doc_basis, label in examples:
-        dists = _distances(doc_basis, bases, weights, kind)
+    for dists, (_, label) in zip(all_dists, examples):
         correct += proto_labels[int(np.argmin(dists))] == label
-        terms = _sample_terms(dists, np.array([pl == label for pl in proto_labels]), beta)
+        terms = _sample_terms(dists, label_array == label, beta)
         if terms is not None:
             cost += terms[2]
             counted += 1
@@ -339,7 +378,8 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
     seed, data and config.
 
     ``update_hook(bases, weights)``, if given, runs after every single
-    update (instrumentation for invariant checks).
+    update (instrumentation for invariant checks); ``bases`` is the live
+    ``(P, D, d)`` prototype stack, updated in place.
     """
     config.validate()
     if not training:
@@ -357,7 +397,7 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
 
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     prototypes = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)
-    bases = [p.basis.copy() for p in prototypes]
+    stack = np.stack([p.basis for p in prototypes])
     proto_labels = [p.label for p in prototypes]
     weights = np.full(d, 1.0 / d)
     rng = np.random.default_rng(shuffle_seq)
@@ -367,49 +407,42 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
     masks = {lab: np.array([pl == lab for pl in proto_labels]) for lab in labels}
 
     training_log = []
-    cost0, acc0 = _pass_stats(training, bases, proto_labels, weights, beta, kind)
+    cost0, acc0 = _pass_stats(training, stack, proto_labels, weights, beta, kind)
     training_log.append((0, cost0, acc0))
     degenerate = 0
 
     for epoch in range(1, config.epochs + 1):
         for i in rng.permutation(len(training)):
             ex = training[int(i)]
-            doc_basis = ex.subspace.basis
-            systems = [principal_system(doc_basis, b) for b in bases]
-            dists = np.array(
-                [weighted_distance(s.cosines, weights, kind) for s in systems]
-            )
-            terms = _sample_terms(dists, masks[ex.label], beta)
-            if terms is None:
+            step = _sample_step(ex.subspace.basis, stack, masks[ex.label], weights, beta, kind)
+            if step is None:
                 degenerate += 1
                 log.debug("skipping degenerate sample %s (epoch %d)", ex.subspace.doc_id, epoch)
                 continue
-            j, k, _, de_dplus, de_dminus = terms
-            new_j = qr_retract(bases[j] - lr_w * de_dplus * distance_gradient_basis(systems[j], weights, kind))
-            new_k = qr_retract(bases[k] - lr_w * de_dminus * distance_gradient_basis(systems[k], weights, kind))
-            if not (np.all(np.isfinite(new_j)) and np.all(np.isfinite(new_k))):
+            pair, _, de_dd, grad_b, grad_w = step
+            new = qr_retract(stack[pair] - (lr_w * de_dd)[:, None, None] * grad_b)
+            if not np.all(np.isfinite(new)):
                 raise NumericError(
                     f"non-finite prototype update at epoch {epoch}, "
                     f"sample {ex.subspace.doc_id!r}"
                 )
-            bases[j], bases[k] = new_j, new_k
+            stack[pair] = new
             # lr 0 must leave the relevances bit-identical, so skip entirely
             if lr_l > 0.0:
-                grad_l = de_dplus * distance_gradient_weights(systems[j].cosines, d, kind)
-                grad_l += de_dminus * distance_gradient_weights(systems[k].cosines, d, kind)
-                weights = project_simplex(weights - lr_l * grad_l)
+                grad_l = de_dd[:, None] * grad_w
+                weights = project_simplex(weights - lr_l * (grad_l[0] + grad_l[1]))
                 if not np.all(np.isfinite(weights)):
                     raise NumericError(f"non-finite relevance update at epoch {epoch}")
             if update_hook is not None:
-                update_hook(bases, weights)
-        cost, acc = _pass_stats(training, bases, proto_labels, weights, beta, kind)
+                update_hook(stack, weights)
+        cost, acc = _pass_stats(training, stack, proto_labels, weights, beta, kind)
         training_log.append((epoch, cost, acc))
 
     if degenerate:
         log.warning("skipped %d degenerate samples during training", degenerate)
 
     return ModelState(
-        prototypes=[Prototype(basis=b, label=lab) for b, lab in zip(bases, proto_labels)],
+        prototypes=[Prototype(basis=b, label=lab) for b, lab in zip(stack, proto_labels)],
         relevances=weights,
         embedding_dim=dim,
         subspace_dim=d,
@@ -442,23 +475,21 @@ def total_cost(bases, proto_labels, weights, examples, beta, kind) -> float:
 
 def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind):
     """Cost plus its gradient w.r.t. every prototype entry and weight."""
-    grads_w = [np.zeros_like(b) for b in bases]
+    stack = np.asarray(bases)
+    grads_w = np.zeros_like(stack)
     grad_l = np.zeros_like(weights)
     cost = 0.0
-    n_weights = weights.size
+    label_array = np.asarray(proto_labels)
     for doc_basis, label in examples:
-        systems = [principal_system(doc_basis, b) for b in bases]
-        dists = np.array([weighted_distance(s.cosines, weights, kind) for s in systems])
-        terms = _sample_terms(dists, np.array([pl == label for pl in proto_labels]), beta)
-        if terms is None:
+        step = _sample_step(doc_basis, stack, label_array == label, weights, beta, kind)
+        if step is None:
             continue
-        j, k, e_val, de_dplus, de_dminus = terms
+        pair, e_val, de_dd, grad_b, grad_w = step
         cost += e_val
-        grads_w[j] += de_dplus * distance_gradient_basis(systems[j], weights, kind)
-        grads_w[k] += de_dminus * distance_gradient_basis(systems[k], weights, kind)
-        grad_l += de_dplus * distance_gradient_weights(systems[j].cosines, n_weights, kind)
-        grad_l += de_dminus * distance_gradient_weights(systems[k].cosines, n_weights, kind)
-    return cost, grads_w, grad_l
+        grads_w[pair] += de_dd[:, None, None] * grad_b
+        grad_l += de_dd[0] * grad_w[0]
+        grad_l += de_dd[1] * grad_w[1]
+    return cost, list(grads_w), grad_l
 
 
 @dataclass

@@ -20,6 +20,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import FormatError
+from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, orthonormality_residual
 from .model import ModelState, Prototype
 
 MAGIC = b"SUBSPACE-LVQ-MODEL\n"
@@ -55,7 +56,14 @@ def save_model(state: ModelState, path) -> None:
 
 
 def load_model(path) -> ModelState:
-    """Read a model container written by :func:`save_model`."""
+    """Read a model container written by :func:`save_model`.
+
+    Besides the container layout, the model's invariants are checked: every
+    prototype is an orthonormal ``(embedding_dim, subspace_dim)`` basis, the
+    relevances are ``subspace_dim`` finite values on the simplex, and
+    ``class_labels`` is the sorted set of prototype labels.  Any violation
+    raises :class:`FormatError`.
+    """
     path = Path(path)
     try:
         blob = path.read_bytes()
@@ -75,37 +83,57 @@ def load_model(path) -> ModelState:
         offset += header_len
 
         labels, shapes = header["prototype_labels"], header["prototype_shapes"]
+        dim, d = int(header["embedding_dim"]), int(header["subspace_dim"])
+        class_labels = list(header["class_labels"])
+        slope, kind = float(header["sigmoid_slope"]), header["distance_kind"]
+        hyperparams = dict(header["hyperparams"])
+        training_log = [(int(e), float(c), float(a)) for e, c, a in header["training_log"]]
+        if kind not in DISTANCE_KINDS:
+            raise FormatError(f"unknown distance kind {kind!r}", path=path)
+        if not all(isinstance(label, str) for label in labels + class_labels):
+            raise FormatError("prototype and class labels must be strings", path=path)
         if len(labels) != len(shapes):
             raise FormatError(
                 f"header lists {len(labels)} prototype labels but {len(shapes)} shapes",
                 path=path)
+        for i, shape in enumerate(shapes):
+            if (int(shape[0]), int(shape[1])) != (dim, d):
+                raise FormatError(f"prototype {i} has shape {(int(shape[0]), int(shape[1]))}, "
+                                  f"expected {(dim, d)}", path=path)
         rel_len = int(header["relevance_len"])
-        relevances = np.frombuffer(blob, dtype=_F64LE, count=rel_len, offset=offset).astype(
-            np.float64
-        )
-        offset += rel_len * 8
-        prototypes = []
-        for label, shape in zip(labels, shapes):
-            rows, cols = int(shape[0]), int(shape[1])
-            flat = np.frombuffer(blob, dtype=_F64LE, count=rows * cols, offset=offset)
-            offset += rows * cols * 8
-            prototypes.append(Prototype(basis=flat.astype(np.float64).reshape(rows, cols), label=label))
+        if rel_len != d:
+            raise FormatError(f"relevance_len {rel_len} differs from subspace_dim {d}", path=path)
+        relevances = np.frombuffer(blob, dtype=_F64LE, count=d, offset=offset).astype(np.float64)
+        offset += d * 8
+        stack = np.frombuffer(blob, dtype=_F64LE, count=len(labels) * dim * d,
+                              offset=offset).astype(np.float64).reshape(len(labels), dim, d)
+        offset += stack.size * 8
     except (struct.error, KeyError, IndexError, TypeError, ValueError) as exc:
         raise FormatError(f"truncated or corrupt model file: {exc}", path=path) from exc
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} bytes after the last array", path=path)
-    if not (np.isfinite(relevances).all() and all(np.isfinite(p.basis).all() for p in prototypes)):
+    if not (np.isfinite(relevances).all() and np.isfinite(stack).all()):
         raise FormatError("non-finite relevance or prototype value", path=path)
+    residuals = orthonormality_residual(stack)
+    if np.any(residuals > ORTHONORMAL_TOL):
+        i = int(np.argmax(residuals > ORTHONORMAL_TOL))
+        raise FormatError(f"prototype {i} is not orthonormal (residual {residuals[i]:.3e})",
+                          path=path)
+    if np.any(relevances < 0) or abs(float(relevances.sum()) - 1.0) > 1e-12:
+        raise FormatError("relevances are not on the probability simplex", path=path)
+    if class_labels != sorted(set(labels)):
+        raise FormatError(f"class_labels {class_labels} are not the sorted prototype labels "
+                          f"{sorted(set(labels))}", path=path)
     return ModelState(
-        prototypes=prototypes,
+        prototypes=[Prototype(basis=basis, label=label) for basis, label in zip(stack, labels)],
         relevances=relevances,
-        embedding_dim=int(header["embedding_dim"]),
-        subspace_dim=int(header["subspace_dim"]),
-        sigmoid_slope=float(header["sigmoid_slope"]),
-        distance_kind=header["distance_kind"],
-        class_labels=list(header["class_labels"]),
-        hyperparams=dict(header["hyperparams"]),
-        training_log=[(int(e), float(c), float(a)) for e, c, a in header["training_log"]],
+        embedding_dim=dim,
+        subspace_dim=d,
+        sigmoid_slope=slope,
+        distance_kind=kind,
+        class_labels=class_labels,
+        hyperparams=hyperparams,
+        training_log=training_log,
     )
 
 

@@ -7,6 +7,7 @@ nearest-centroid baseline.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,7 +45,9 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
     (largest-magnitude component positive) for backend-independent output.
     Rank-deficient documents keep k < d columns rather than receiving
     fabricated directions; the distance layer treats the missing ones as
-    maximally misaligned.
+    maximally misaligned.  The SVD runs over distinct words (see
+    :func:`distinct_columns`), which leaves the Gram matrix, and so the
+    left singular vectors and singular values, unchanged.
     """
     cols = matrix.columns
     if cols.ndim != 2 or cols.shape[1] < 1:
@@ -56,13 +59,31 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
         raise DimensionError(
             f"subspace dimension {d} exceeds embedding dimension {dim}"
         )
-    left, sigma, _ = np.linalg.svd(cols, full_matrices=False)
+    left, sigma, _ = np.linalg.svd(distinct_columns(matrix), full_matrices=False)
     if sigma[0] <= 0.0:
         raise DataError(f"document {matrix.doc_id!r}: zero word matrix")
     rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
     k = min(d, rank)
     basis = sign_normalize_columns(left[:, :k])
     return Subspace(doc_id=matrix.doc_id, basis=basis)
+
+
+def distinct_columns(matrix: WordMatrix) -> np.ndarray:
+    """One column per distinct token, scaled by the square root of its count.
+
+    Repeated tokens have equal columns, so sum_j c_j c_j^T over the tokens
+    equals sum_w n_w c_w c_w^T over the distinct words: the same Gram
+    matrix from fewer columns.  A matrix whose tokens do not repeat, or
+    which carries no token list, is returned as it is.
+    """
+    cols, tokens = matrix.columns, matrix.tokens
+    counts = Counter(tokens)
+    if len(tokens) != cols.shape[1] or len(counts) == len(tokens):
+        return cols
+    first: dict[str, int] = {}
+    for j, tok in enumerate(tokens):
+        first.setdefault(tok, j)
+    return cols[:, [first[tok] for tok in counts]] * np.sqrt(list(counts.values()))
 
 
 def mean_vector(matrix: WordMatrix) -> np.ndarray:

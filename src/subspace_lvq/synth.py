@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import CaseRecord, write_corpus
+from .corpus import CaseRecord, write_annotations, write_corpus
 from .embedding import EmbeddingTable, save_embeddings
 
 CLASS_LABELS = ("topic_a", "topic_b")
@@ -80,13 +80,18 @@ def generate(
 
 
 def write_synthetic(corpus: SyntheticCorpus, out_dir) -> dict[str, Path]:
-    """Write embeddings, corpus and ground truth; returns the file paths."""
+    """Write embeddings, corpus, ground truth and annotations; returns the file paths.
+
+    The annotations mark every record of the first class positive, as an
+    annotator judging that class would.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = {
         "embeddings": out / "embeddings.txt",
         "corpus": out / "corpus.jsonl",
         "truth": out / "truth.json",
+        "annotations": out / "annotations.jsonl",
     }
     save_embeddings(corpus.table, paths["embeddings"])
     write_corpus(corpus.records, paths["corpus"])
@@ -94,4 +99,6 @@ def write_synthetic(corpus: SyntheticCorpus, out_dir) -> dict[str, Path]:
         "discriminative_words": corpus.discriminative_words,
         "shared_words": corpus.shared_words,
     }, indent=2) + "\n", encoding="utf-8")
+    write_annotations({r.case_id: r.label == CLASS_LABELS[0] for r in corpus.records},
+                      paths["annotations"])
     return paths

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -370,3 +372,25 @@ class TestSubcommandFlags:
         out = tmp_path / "ranked"
         assert main(["rank", "--config", str(config), "--out", str(out)]) == 0
         assert self.config_of(out) == {"scored": str(path), "out": str(out)}
+
+
+def readme_quickstart() -> list[list[str]]:
+    """The README quickstart block as argument lists, one per command."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quickstart", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    commands = []
+    for line in block.replace("\\\n", " ").splitlines():
+        words = shlex.split(line, comments=True)
+        if words:
+            assert words[0] == "subspace-lvq", line
+            commands.append(words[1:])
+    return commands
+
+
+def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
+    commands = readme_quickstart()
+    assert [c[0] for c in commands] == ["synth-data", "train", "evaluate", "explain",
+                                        "score-corpus", "sample", "calibrate", "grad-check"]
+    monkeypatch.chdir(tmp_path)
+    for args in commands:
+        assert main(args) == 0, args

@@ -127,6 +127,9 @@ class TestModelValidation:
     @pytest.mark.parametrize("edit", [
         lambda h: h.__setitem__("prototype_shapes", [[12], [12, 4]]),
         lambda h: h.__setitem__("prototype_labels", 5),
+        lambda h: h.__setitem__("sigmoid_slope", "x"),
+        lambda h: h.__setitem__("hyperparams", 3),
+        lambda h: h.__setitem__("training_log", [[0, 1]]),
     ])
     def test_malformed_header_values_rejected(self, tmp_path, edit):
         path = self.saved(tmp_path)
@@ -143,6 +146,63 @@ class TestModelValidation:
         blob[index: index + 8] = struct.pack("<d", value)
         path.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match="non-finite"):
+            load_model(path)
+
+
+def saved_variant(tmp_path, **changes):
+    """Save ``build_state`` with some fields replaced; ``save_model`` checks nothing."""
+    state = build_state(np.random.default_rng(8))
+    for name, value in changes.items():
+        setattr(state, name, value(state) if callable(value) else value)
+    path = tmp_path / "model.bin"
+    save_model(state, path)
+    return path
+
+
+class TestModelInvariants:
+    def test_prototype_shapes_must_match_the_dimensions(self, tmp_path):
+        rng = np.random.default_rng(9)
+        path = saved_variant(tmp_path, prototypes=[
+            Prototype(basis=qr_retract(rng.standard_normal((12, 4))), label="neg"),
+            Prototype(basis=qr_retract(rng.standard_normal((12, 3))), label="pos")])
+        with pytest.raises(FormatError, match=r"prototype 1 has shape \(12, 3\), expected \(12, 4\)"):
+            load_model(path)
+
+    def test_relevance_length_must_equal_subspace_dim(self, tmp_path):
+        path = saved_variant(tmp_path, relevances=np.full(3, 1.0 / 3.0))
+        with pytest.raises(FormatError, match="relevance_len 3 differs from subspace_dim 4"):
+            load_model(path)
+
+    @pytest.mark.parametrize("relevances", [
+        lambda s: 3.0 * s.relevances,
+        lambda s: s.relevances + np.array([0.5, -0.5, 0.0, 0.0]),
+    ])
+    def test_relevances_must_lie_on_the_simplex(self, tmp_path, relevances):
+        path = saved_variant(tmp_path, relevances=relevances)
+        with pytest.raises(FormatError, match="simplex"):
+            load_model(path)
+
+    def test_prototypes_must_be_orthonormal(self, tmp_path):
+        path = saved_variant(tmp_path, prototypes=lambda s: [
+            Prototype(basis=s.prototypes[0].basis, label="neg"),
+            Prototype(basis=1.01 * s.prototypes[1].basis, label="pos")])
+        with pytest.raises(FormatError, match="prototype 1 is not orthonormal"):
+            load_model(path)
+
+    @pytest.mark.parametrize("class_labels", [["neg", "zzz"], ["pos", "neg"], ["neg"]])
+    def test_class_labels_must_be_the_sorted_prototype_labels(self, tmp_path, class_labels):
+        path = saved_variant(tmp_path, class_labels=class_labels)
+        with pytest.raises(FormatError, match="class_labels"):
+            load_model(path)
+
+    def test_unknown_distance_kind_rejected(self, tmp_path):
+        path = saved_variant(tmp_path, distance_kind="cosine")
+        with pytest.raises(FormatError, match="unknown distance kind 'cosine'"):
+            load_model(path)
+
+    def test_non_string_labels_rejected(self, tmp_path):
+        path = saved_variant(tmp_path, class_labels=["neg", 5])
+        with pytest.raises(FormatError, match="must be strings"):
             load_model(path)
 
 
