@@ -348,8 +348,15 @@ def write_scored(scored: list[ScoredCase], path) -> None:
 
 
 def read_scored(path) -> list[ScoredCase]:
+    """Read a :func:`write_scored` file, checking every row.
+
+    A case id must be non-empty and unique, a score a finite value in
+    [0, 1], and a percentile, when present, a finite value in [0, 100].
+    A row that breaks a rule raises :class:`FormatError` naming its line.
+    """
     path = Path(path)
     out = []
+    seen: set[str] = set()
     try:
         handle = path.open("r", encoding="utf-8", newline="")
     except OSError as exc:
@@ -363,14 +370,27 @@ def read_scored(path) -> list[ScoredCase]:
             if not row:
                 continue
             try:
-                out.append(ScoredCase(
+                case = ScoredCase(
                     case_id=row[0],
                     score=float(row[1]),
                     percentile=float(row[2]) if row[2] else None,
                     predicted_label=row[3],
-                ))
+                )
             except (IndexError, ValueError) as exc:
                 raise FormatError(f"malformed row: {exc}", path=path, line=lineno) from exc
+            # The ranges are tested as "not inside", so NaN fails them too.
+            if not case.case_id:
+                raise FormatError("empty case id", path=path, line=lineno)
+            if case.case_id in seen:
+                raise FormatError(f"repeated case id {case.case_id!r}", path=path, line=lineno)
+            if not 0.0 <= case.score <= 1.0:
+                raise FormatError(f"score {row[1]!r} is not a finite value in [0, 1]",
+                                  path=path, line=lineno)
+            if case.percentile is not None and not 0.0 <= case.percentile <= 100.0:
+                raise FormatError(f"percentile {row[2]!r} is not a finite value in [0, 100]",
+                                  path=path, line=lineno)
+            seen.add(case.case_id)
+            out.append(case)
     if not out:
         raise DataError(f"{path}: no scored cases")
     return out

@@ -8,7 +8,8 @@ Euclidean projection onto the probability simplex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +54,6 @@ def sign_normalize_columns(basis: np.ndarray) -> np.ndarray:
     return basis * signs
 
 
-@dataclass
 class PrincipalAngles:
     """Matched principal-angle system between a document and a prototype.
 
@@ -64,35 +64,54 @@ class PrincipalAngles:
     singular vectors of the basis product), which the prototype gradient
     needs.  For a stack of prototypes every field carries the stack's
     leading axes in front of the shapes below.
+
+    Instances come from :func:`principal_system`, which passes the SVD
+    factors and both bases to the constructor: one ``(D, k)`` document
+    basis, shared by the whole stack, and the prototype basis or stack.
+    The two direction fields are built from those on first access and then
+    cached, so a caller pays only for the directions it reads.
     """
 
-    cosines: np.ndarray          # (m,)
-    doc_directions: np.ndarray   # (D, m)
-    proto_directions: np.ndarray  # (D, m)
-    right_vectors: np.ndarray    # (d, m)
+    def __init__(self, cosines, left_vectors, right_vectors, doc_basis, proto_basis):
+        self.cosines = cosines              # (m,)
+        self.right_vectors = right_vectors  # (d, m)
+        self._left = left_vectors           # (k, m), k = document width
+        self._doc_basis = doc_basis         # (D, k), shared by the whole stack
+        self._proto_basis = proto_basis     # (D, d)
+
+    @cached_property
+    def doc_directions(self) -> np.ndarray:  # (D, m)
+        return self._doc_basis @ self._left
+
+    @cached_property
+    def proto_directions(self) -> np.ndarray:  # (D, m)
+        return self._proto_basis @ self.right_vectors
 
     def take(self, index) -> PrincipalAngles:
-        """The systems at ``index`` along the leading stack axis."""
-        return PrincipalAngles(self.cosines[index], self.doc_directions[index],
-                               self.proto_directions[index], self.right_vectors[index])
+        """The systems at ``index`` along the leading stack axis.
+
+        Only the prototype side is stacked, so the document basis is kept
+        whole and every other factor is sliced.  Indexing, unlike
+        ``ndarray.take``, keeps each slice's memory layout, and the
+        gradient's matrix product rounds by layout.
+        """
+        cosines, left, right, proto = (factor[index] for factor in (
+            self.cosines, self._left, self.right_vectors, self._proto_basis))
+        return PrincipalAngles(cosines, left, right, self._doc_basis, proto)
 
 
 def principal_system(doc_basis: np.ndarray, proto_basis: np.ndarray) -> PrincipalAngles:
     """Principal angles via the SVD of ``doc_basis.T @ proto_basis``.
 
-    ``proto_basis`` may be a ``(..., D, d)`` stack, as for a numpy gufunc:
+    ``doc_basis`` is one ``(D, k)`` matrix.  ``proto_basis`` may be a
+    ``(..., D, d)`` stack, as for a numpy gufunc:
     one SVD call then covers every prototype, and each slice of the result
     equals the unstacked call bit for bit.  No orthonormality validation;
     see :func:`principal_angles` for the checked public entry point.
     """
     left, sigma, right_t = np.linalg.svd(doc_basis.T @ proto_basis, full_matrices=False)
-    right = np.swapaxes(right_t, -1, -2)
-    return PrincipalAngles(
-        cosines=np.clip(sigma, 0.0, 1.0),
-        doc_directions=doc_basis @ left,
-        proto_directions=proto_basis @ right,
-        right_vectors=right,
-    )
+    return PrincipalAngles(np.clip(sigma, 0.0, 1.0), left, np.swapaxes(right_t, -1, -2),
+                           doc_basis, proto_basis)
 
 
 def principal_angles(doc_basis: np.ndarray, proto_basis: np.ndarray) -> PrincipalAngles:
@@ -128,12 +147,27 @@ def weighted_distance(cosines: np.ndarray, weights: np.ndarray, kind: str) -> fl
     ``(..., m)`` stack of cosines gives an array of distances, one cosine
     vector a float.
     """
-    m = cosines.shape[-1]
-    d = weights.size
-    if m > d:
-        raise NumericError(f"more principal angles ({m}) than weights ({d})")
-    dist = _misalignment(cosines, kind) @ weights[:m] + weights[m:].sum()
+    head, tail = _split_weights(cosines.shape[-1], weights)
+    dist = _misalignment(cosines, kind) @ head + tail
     return float(dist) if cosines.ndim == 1 else dist
+
+
+def _split_weights(m: int, weights: np.ndarray) -> tuple[np.ndarray, float]:
+    """The weights of ``m`` realized angles, and the summed weight of the rest."""
+    if m > weights.size:
+        raise NumericError(f"more principal angles ({m}) than weights ({weights.size})")
+    return weights[:m], weights[m:].sum()
+
+
+def _row_distances(cosines: np.ndarray, weights: np.ndarray, kind: str) -> list[float]:
+    """:func:`weighted_distance` of each row of a ``(P, m)`` cosine stack, as floats.
+
+    One dot product per row: the stacked matrix-vector product of
+    :func:`weighted_distance` rounds differently, and the SGD path's bits
+    are pinned to this one.
+    """
+    head, tail = _split_weights(cosines.shape[-1], weights)
+    return [float(row @ head + tail) for row in _misalignment(cosines, kind)]
 
 
 def distance_gradient_weights(cosines: np.ndarray, n_weights: int, kind: str) -> np.ndarray:
@@ -178,21 +212,39 @@ def qr_retract(mat: np.ndarray) -> np.ndarray:
     """
     q, r = np.linalg.qr(mat)
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.any(diag == 0.0):
+    if (diag == 0.0).any():
         raise NumericError("rank-deficient update: QR retraction is undefined")
     return q * np.sign(diag)[..., None, :]
+
+
+# Up to this many entries, project_simplex finds its threshold in a Python
+# loop: 4-6 µs at 5-10 entries against 15 µs for the numpy calls, which
+# are as fast at 50 entries and 4x faster at 300 (2-core x86_64).
+_SIMPLEX_LOOP_MAX = 40
 
 
 def project_simplex(v: np.ndarray) -> np.ndarray:
     """Euclidean projection onto {x : x_i >= 0, sum x_i = 1}.
 
-    Sort-based exact algorithm; O(n log n), order-independent.
+    Sort-based exact algorithm; O(n log n), order-independent.  Short
+    vectors, such as the relevances of a small subspace, take the
+    threshold from a Python loop whose running sum adds in the order
+    ``np.cumsum`` does, so both paths give the same bits.  A NaN in ``v``
+    leaves a NaN in the result.
     """
     v = np.asarray(v, dtype=np.float64)
-    n = v.size
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u)
-    positive = u - (cumulative - 1.0) / np.arange(1, n + 1) > 0
-    rho = int(np.nonzero(positive)[0][-1])
-    tau = (cumulative[rho] - 1.0) / (rho + 1)
+    tau = math.nan
+    if v.size <= _SIMPLEX_LOOP_MAX:
+        total = 0.0
+        for i, u in enumerate(sorted(v.tolist(), reverse=True), start=1):
+            total += u
+            if u - (total - 1.0) / i > 0:
+                tau = (total - 1.0) / i
+    else:
+        u = np.sort(v)[::-1]
+        cumulative = np.cumsum(u)
+        positive = np.flatnonzero(u - (cumulative - 1.0) / np.arange(1, v.size + 1) > 0)
+        if positive.size:
+            rho = int(positive[-1])
+            tau = (cumulative[rho] - 1.0) / (rho + 1)
     return np.maximum(v - tau, 0.0)

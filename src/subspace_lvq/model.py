@@ -28,6 +28,7 @@ from .errors import (
 from .geometry import (
     CHORDAL,
     DISTANCE_KINDS,
+    _row_distances,
     check_orthonormal,
     distance_gradient_basis,
     distance_gradient_weights,
@@ -293,17 +294,22 @@ def init_prototypes(
     return prototypes
 
 
-def _sample_terms(dists: np.ndarray, correct_mask: np.ndarray, beta: float):
+def _sample_terms(dists, correct_mask, beta: float):
     """``(j, k, e, de/dd+, de/dd-)`` for one sample, or None if it is degenerate.
 
     ``j``/``k`` are the nearest correct-/wrong-class prototypes (ties to the
     lowest index), ``e`` the sigmoid cost; None when both are at distance 0.
+    ``dists`` and ``correct_mask`` are per-prototype sequences: lists of
+    floats and bools, or numpy arrays.
     """
-    correct_idx = np.flatnonzero(correct_mask)
-    wrong_idx = np.flatnonzero(~correct_mask)
-    j = int(correct_idx[np.argmin(dists[correct_idx])])
-    k = int(wrong_idx[np.argmin(dists[wrong_idx])])
-    d_plus, d_minus = dists[j], dists[k]
+    j = k = -1
+    d_plus = d_minus = 0.0
+    for i, (dist, correct) in enumerate(zip(dists, correct_mask)):
+        if correct:
+            if j < 0 or dist < d_plus:
+                j, d_plus = i, dist
+        elif k < 0 or dist < d_minus:
+            k, d_minus = i, dist
     total = d_plus + d_minus
     if total <= 0.0:
         return None
@@ -316,20 +322,19 @@ def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
     """One sample's cost and the distance gradients of its two winners.
 
     Returns ``(pair, e, de_dd, basis_grads, weight_grads)``, or None for a
-    degenerate sample: ``pair`` is ``[j, k]`` (see :func:`_sample_terms`),
-    ``de_dd`` holds de/dd+ and de/dd-, and the ``(2, D, d)`` / ``(2, d)``
-    gradients are those of d+ and d-.
+    degenerate sample: ``pair`` is the index array ``[j, k]`` (see
+    :func:`_sample_terms`), ``de_dd`` holds de/dd+ and de/dd-, and the
+    ``(2, D, d)`` / ``(2, d)`` gradients are those of d+ and d-.
     """
     systems = principal_system(doc_basis, stack)
-    # One dot product per prototype: a stacked matrix-vector product rounds
-    # differently, and tests/test_stacked.py pins the SGD path's bits.
-    dists = np.array([weighted_distance(c, weights, kind) for c in systems.cosines])
+    dists = _row_distances(systems.cosines, weights, kind)
     terms = _sample_terms(dists, correct_mask, beta)
     if terms is None:
         return None
     j, k, e_val, de_dplus, de_dminus = terms
-    winners = systems.take([j, k])
-    return ([j, k], e_val, np.array([de_dplus, de_dminus]),
+    pair = np.array([j, k])
+    winners = systems.take(pair)
+    return (pair, e_val, np.array([de_dplus, de_dminus]),
             distance_gradient_basis(winners, weights, kind),
             distance_gradient_weights(winners.cosines, weights.size, kind))
 
@@ -346,11 +351,12 @@ def _cost_pass(bases, proto_labels, weights, examples, beta, kind) -> tuple[floa
     all_dists = np.empty((len(examples), len(proto_labels)))
     for rows in by_width.values():
         all_dists[rows] = _distances([examples[i][0] for i in rows], stack, weights, kind)
-    label_array = np.asarray(proto_labels)
+    labels = {label for _, label in examples}
+    masks = {label: [pl == label for pl in proto_labels] for label in labels}
     cost, counted, correct = 0.0, 0, 0
-    for dists, (_, label) in zip(all_dists, examples):
-        correct += proto_labels[int(np.argmin(dists))] == label
-        terms = _sample_terms(dists, label_array == label, beta)
+    for dists, (_, label) in zip(all_dists.tolist(), examples):
+        correct += proto_labels[dists.index(min(dists))] == label
+        terms = _sample_terms(dists, masks[label], beta)
         if terms is not None:
             cost += terms[2]
             counted += 1
@@ -404,7 +410,7 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
 
     beta, kind = config.beta, config.distance_kind
     lr_w, lr_l = config.lr_prototype, config.lr_relevance
-    masks = {lab: np.array([pl == lab for pl in proto_labels]) for lab in labels}
+    masks = {lab: [pl == lab for pl in proto_labels] for lab in labels}
 
     training_log = []
     cost0, acc0 = _pass_stats(training, stack, proto_labels, weights, beta, kind)
@@ -412,16 +418,16 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
     degenerate = 0
 
     for epoch in range(1, config.epochs + 1):
-        for i in rng.permutation(len(training)):
-            ex = training[int(i)]
+        for i in rng.permutation(len(training)).tolist():
+            ex = training[i]
             step = _sample_step(ex.subspace.basis, stack, masks[ex.label], weights, beta, kind)
             if step is None:
                 degenerate += 1
                 log.debug("skipping degenerate sample %s (epoch %d)", ex.subspace.doc_id, epoch)
                 continue
             pair, _, de_dd, grad_b, grad_w = step
-            new = qr_retract(stack[pair] - (lr_w * de_dd)[:, None, None] * grad_b)
-            if not np.all(np.isfinite(new)):
+            new = qr_retract(stack.take(pair, axis=0) - (lr_w * de_dd)[:, None, None] * grad_b)
+            if not np.isfinite(new).all():
                 raise NumericError(
                     f"non-finite prototype update at epoch {epoch}, "
                     f"sample {ex.subspace.doc_id!r}"
@@ -431,7 +437,7 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
             if lr_l > 0.0:
                 grad_l = de_dd[:, None] * grad_w
                 weights = project_simplex(weights - lr_l * (grad_l[0] + grad_l[1]))
-                if not np.all(np.isfinite(weights)):
+                if not np.isfinite(weights).all():
                     raise NumericError(f"non-finite relevance update at epoch {epoch}")
             if update_hook is not None:
                 update_hook(stack, weights)
@@ -479,9 +485,9 @@ def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind)
     grads_w = np.zeros_like(stack)
     grad_l = np.zeros_like(weights)
     cost = 0.0
-    label_array = np.asarray(proto_labels)
     for doc_basis, label in examples:
-        step = _sample_step(doc_basis, stack, label_array == label, weights, beta, kind)
+        step = _sample_step(doc_basis, stack, [pl == label for pl in proto_labels],
+                            weights, beta, kind)
         if step is None:
             continue
         pair, e_val, de_dd, grad_b, grad_w = step

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from pathlib import Path
 
@@ -58,11 +59,12 @@ def save_model(state: ModelState, path) -> None:
 def load_model(path) -> ModelState:
     """Read a model container written by :func:`save_model`.
 
-    Besides the container layout, the model's invariants are checked: every
+    Besides the container layout, the model's invariants are checked: both
+    dimensions are positive, the sigmoid slope is finite and positive, every
     prototype is an orthonormal ``(embedding_dim, subspace_dim)`` basis, the
     relevances are ``subspace_dim`` finite values on the simplex, and
-    ``class_labels`` is the sorted set of prototype labels.  Any violation
-    raises :class:`FormatError`.
+    ``class_labels`` is the sorted set of at least two prototype labels.  Any
+    violation raises :class:`FormatError`.
     """
     path = Path(path)
     try:
@@ -88,6 +90,11 @@ def load_model(path) -> ModelState:
         slope, kind = float(header["sigmoid_slope"]), header["distance_kind"]
         hyperparams = dict(header["hyperparams"])
         training_log = [(int(e), float(c), float(a)) for e, c, a in header["training_log"]]
+        if dim < 1 or d < 1:
+            raise ValueError(f"dimensions must be positive, got embedding_dim {dim}, "
+                             f"subspace_dim {d}")
+        if not (math.isfinite(slope) and slope > 0):
+            raise ValueError(f"sigmoid_slope must be finite and positive, got {slope}")
         if kind not in DISTANCE_KINDS:
             raise FormatError(f"unknown distance kind {kind!r}", path=path)
         if not all(isinstance(label, str) for label in labels + class_labels):
@@ -108,19 +115,24 @@ def load_model(path) -> ModelState:
         stack = np.frombuffer(blob, dtype=_F64LE, count=len(labels) * dim * d,
                               offset=offset).astype(np.float64).reshape(len(labels), dim, d)
         offset += stack.size * 8
-    except (struct.error, KeyError, IndexError, TypeError, ValueError) as exc:
+    except (struct.error, KeyError, IndexError, TypeError, ValueError, OverflowError,
+            RecursionError) as exc:
         raise FormatError(f"truncated or corrupt model file: {exc}", path=path) from exc
     if offset != len(blob):
         raise FormatError(f"{len(blob) - offset} bytes after the last array", path=path)
     if not (np.isfinite(relevances).all() and np.isfinite(stack).all()):
         raise FormatError("non-finite relevance or prototype value", path=path)
-    residuals = orthonormality_residual(stack)
-    if np.any(residuals > ORTHONORMAL_TOL):
-        i = int(np.argmax(residuals > ORTHONORMAL_TOL))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries: inf or NaN residual
+        residuals = orthonormality_residual(stack)
+    bad = ~(residuals <= ORTHONORMAL_TOL)  # written so that NaN fails too
+    if bad.any():
+        i = int(np.argmax(bad))
         raise FormatError(f"prototype {i} is not orthonormal (residual {residuals[i]:.3e})",
                           path=path)
-    if np.any(relevances < 0) or abs(float(relevances.sum()) - 1.0) > 1e-12:
+    if np.any(relevances < 0) or not abs(float(relevances.sum()) - 1.0) <= 1e-12:
         raise FormatError("relevances are not on the probability simplex", path=path)
+    if len(class_labels) < 2:
+        raise FormatError(f"class_labels {class_labels} name fewer than two classes", path=path)
     if class_labels != sorted(set(labels)):
         raise FormatError(f"class_labels {class_labels} are not the sorted prototype labels "
                           f"{sorted(set(labels))}", path=path)

@@ -315,6 +315,40 @@ class TestScoredFiles:
         back = read_scored(path)
         assert back == ranked
 
+    def rejected_at_line_3(self, tmp_path, bad_row, match):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label\n"
+                        f"a,0.9,50,pos\n{bad_row}\nc,0.1,0,neg\n")
+        with pytest.raises(FormatError, match=rf"scored.csv:3: .*{match}") as info:
+            read_scored(path)
+        assert info.value.line == 3
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_score_rejected(self, tmp_path, value):
+        self.rejected_at_line_3(tmp_path, f"b,{value},40,pos", r"score .* not a finite value")
+
+    @pytest.mark.parametrize("value", ["7.5", "-0.25", "1.0000001"])
+    def test_score_outside_unit_interval_rejected(self, tmp_path, value):
+        self.rejected_at_line_3(tmp_path, f"b,{value},40,pos", r"not a finite value in \[0, 1\]")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1", "100.5"])
+    def test_bad_percentile_rejected(self, tmp_path, value):
+        self.rejected_at_line_3(tmp_path, f"b,0.5,{value},pos",
+                                r"percentile .* not a finite value in \[0, 100\]")
+
+    def test_empty_case_id_rejected(self, tmp_path):
+        self.rejected_at_line_3(tmp_path, ",0.5,40,pos", "empty case id")
+
+    def test_repeated_case_id_rejected(self, tmp_path):
+        self.rejected_at_line_3(tmp_path, "a,0.9,50,pos", "repeated case id 'a'")
+
+    def test_boundary_values_accepted(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label\n"
+                        "a,1,0,pos\nb,0,100,neg\nc,0.5,,pos\n")
+        assert [(s.score, s.percentile) for s in read_scored(path)] == \
+            [(1.0, 0.0), (0.0, 100.0), (0.5, None)]
+
     def test_annotations_roundtrip(self, tmp_path):
         annotations = {"a": True, "b": False}
         path = tmp_path / "ann.jsonl"

@@ -207,7 +207,34 @@ class TestRetraction:
             assert col[np.argmax(np.abs(col))] > 0
 
 
+def old_project_simplex(v):
+    """The vectorised projection, kept as the oracle of both ``project_simplex`` paths."""
+    v = np.asarray(v, dtype=np.float64)
+    u = np.sort(v)[::-1]
+    cumulative = np.cumsum(u)
+    positive = u - (cumulative - 1.0) / np.arange(1, v.size + 1) > 0
+    rho = int(np.nonzero(positive)[0][-1])
+    tau = (cumulative[rho] - 1.0) / (rho + 1)
+    return np.maximum(v - tau, 0.0)
+
+
 class TestSimplexProjection:
+    # Values from a short list as well, so that ties and sums that land on
+    # exactly one occur.  Up to 100 entries, so both sides of the loop
+    # threshold are drawn.
+    @given(st.lists(st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]),
+                    min_size=1, max_size=100))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_vectorised_projection_bit_for_bit(self, values):
+        v = np.array(values)
+        assert project_simplex(v).tobytes() == old_project_simplex(v).tobytes()
+
+    @pytest.mark.parametrize("size", [3, 300])
+    def test_nan_entry_gives_nan(self, size):
+        v = np.full(size, 1.0 / size)
+        v[1] = np.nan
+        assert np.isnan(project_simplex(v)).any()
+
     def test_projects_to_simplex(self):
         rng = np.random.default_rng(10)
         for _ in range(100):

@@ -1,17 +1,28 @@
-"""Binary model container: round trips, bit-exact scoring, validation, atomic writes."""
+"""Binary model container: round trips, bit-exact scoring, validation, fuzzing, atomic writes."""
 
+import functools
 import json
+import math
 import os
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from subspace_lvq import atomic
 from subspace_lvq.atomic import atomic_write
 from subspace_lvq.errors import FormatError
-from subspace_lvq.geometry import qr_retract
-from subspace_lvq.model import ModelState, Prototype, score
+from subspace_lvq.geometry import (
+    DISTANCE_KINDS,
+    ORTHONORMAL_TOL,
+    orthonormality_residual,
+    qr_retract,
+)
+from subspace_lvq.model import ModelState, Prototype, classify, score
 from subspace_lvq.model_io import MAGIC, load_model, model_checksum, save_model
 from subspace_lvq.subspace import Subspace
 
@@ -94,16 +105,20 @@ class TestModelRoundTrip:
         assert MAGIC == b"SUBSPACE-LVQ-MODEL\n"
 
 
-def rewrite_header(path, edit):
-    """Re-encode a saved container's JSON header after ``edit(header)``."""
-    blob = path.read_bytes()
+def edited_header(blob, edit):
+    """A container's bytes with its JSON header re-encoded after ``edit(header)``."""
     offset = len(MAGIC) + 4
     (length,) = struct.unpack_from("<Q", blob, offset)
     header = json.loads(blob[offset + 8: offset + 8 + length])
     edit(header)
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
-    path.write_bytes(blob[:offset] + struct.pack("<Q", len(encoded)) + encoded
-                     + blob[offset + 8 + length:])
+    return (blob[:offset] + struct.pack("<Q", len(encoded)) + encoded
+            + blob[offset + 8 + length:])
+
+
+def rewrite_header(path, edit):
+    """Re-encode a saved container's JSON header after ``edit(header)``."""
+    path.write_bytes(edited_header(path.read_bytes(), edit))
 
 
 class TestModelValidation:
@@ -130,6 +145,12 @@ class TestModelValidation:
         lambda h: h.__setitem__("sigmoid_slope", "x"),
         lambda h: h.__setitem__("hyperparams", 3),
         lambda h: h.__setitem__("training_log", [[0, 1]]),
+        lambda h: h.update(embedding_dim=1e20, prototype_shapes=[[1e20, 4], [1e20, 4]]),
+        lambda h: h.update(embedding_dim=-12, prototype_shapes=[[-12, 4], [-12, 4]]),
+        lambda h: h.__setitem__("sigmoid_slope", float("nan")),
+        lambda h: h.__setitem__("sigmoid_slope", 0.0),
+        lambda h: h.__setitem__("sigmoid_slope", -5.0),
+        lambda h: h.__setitem__("sigmoid_slope", float("inf")),
     ])
     def test_malformed_header_values_rejected(self, tmp_path, edit):
         path = self.saved(tmp_path)
@@ -200,10 +221,119 @@ class TestModelInvariants:
         with pytest.raises(FormatError, match="unknown distance kind 'cosine'"):
             load_model(path)
 
+    def test_single_class_model_rejected(self, tmp_path):
+        path = saved_variant(tmp_path, class_labels=["neg"],
+                             prototypes=lambda s: s.prototypes[:1])
+        with pytest.raises(FormatError, match="fewer than two classes"):
+            load_model(path)
+
     def test_non_string_labels_rejected(self, tmp_path):
         path = saved_variant(tmp_path, class_labels=["neg", 5])
         with pytest.raises(FormatError, match="must be strings"):
             load_model(path)
+
+
+@functools.cache
+def saved_blob() -> bytes:
+    """The bytes of a saved two-prototype model (D=12, d=4)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        save_model(build_state(np.random.default_rng(10)), path)
+        return path.read_bytes()
+
+
+HEADER_KEYS = ("class_labels", "distance_kind", "embedding_dim", "hyperparams",
+               "prototype_labels", "prototype_shapes", "relevance_len", "sigmoid_slope",
+               "subspace_dim", "training_log")
+
+# Dimension-like values: huge, negative, zero, fractional and non-finite ones.
+dimensions = st.one_of(st.integers(-2**70, 2**70), st.floats(),
+                       st.sampled_from([1e20, 10**20, -12, 0, 4, 12]))
+json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), dimensions, st.text(max_size=4)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                               max_size=3),
+    max_leaves=6)
+
+
+def assert_invariants(model):
+    assert model.embedding_dim >= 1 and model.subspace_dim >= 1
+    assert math.isfinite(model.sigmoid_slope) and model.sigmoid_slope > 0
+    assert model.distance_kind in DISTANCE_KINDS
+    assert all(isinstance(label, str) for label in model.class_labels)
+    assert len(model.class_labels) >= 2
+    assert model.class_labels == sorted(set(model.prototype_labels()))
+    weights = model.relevances
+    assert weights.shape == (model.subspace_dim,) and np.isfinite(weights).all()
+    assert (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12
+    for proto in model.prototypes:
+        assert proto.basis.shape == (model.embedding_dim, model.subspace_dim)
+        assert orthonormality_residual(proto.basis) <= ORTHONORMAL_TOL
+    doc = qr_retract(np.random.default_rng(0).standard_normal((model.embedding_dim, 1)))
+    label, dists = classify(Subspace("doc", doc), model)
+    assert label in model.class_labels and np.isfinite(dists).all()
+
+
+def load_or_reject(blob):
+    """``load_model`` on ``blob``: a model meeting every invariant, or None for FormatError.
+
+    Any other exception escapes and fails the calling test.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "model.bin"
+        path.write_bytes(blob)
+        try:
+            model = load_model(path)
+        except FormatError:
+            return None
+    assert_invariants(model)
+    return model
+
+
+class TestContainerFuzz:
+    """Damaged containers load as a valid model or raise FormatError, nothing else."""
+
+    def test_undamaged_container_loads(self):
+        assert load_or_reject(saved_blob()) is not None
+
+    def test_every_truncation_rejected(self):
+        blob = saved_blob()
+        for length in range(len(blob)):
+            assert load_or_reject(blob[:length]) is None
+
+    @given(st.lists(st.integers(0, 2**20), min_size=1, max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_flips(self, positions):
+        blob = bytearray(saved_blob())
+        for position in positions:
+            bit = position % (8 * len(blob))
+            blob[bit // 8] ^= 1 << (bit % 8)
+        load_or_reject(bytes(blob))
+
+    @given(st.lists(st.sampled_from(HEADER_KEYS), min_size=2, max_size=2, unique=True))
+    @settings(max_examples=60, deadline=None)
+    def test_swapped_header_values(self, keys):
+        first, second = keys
+
+        def swap(header):
+            header[first], header[second] = header[second], header[first]
+        load_or_reject(edited_header(saved_blob(), swap))
+
+    @given(st.sampled_from(HEADER_KEYS), json_values)
+    @settings(max_examples=300, deadline=None)
+    def test_replaced_header_value(self, key, value):
+        load_or_reject(edited_header(saved_blob(), lambda header: header.update({key: value})))
+
+    @given(st.sampled_from(["embedding_dim", "subspace_dim"]), dimensions)
+    @settings(max_examples=200, deadline=None)
+    def test_resized_dimension(self, key, value):
+        """A dimension replaced along with every header field that must agree with it."""
+        def resize(header):
+            header[key] = value
+            shape = [header["embedding_dim"], header["subspace_dim"]]
+            header["prototype_shapes"] = [shape] * len(header["prototype_labels"])
+            header["relevance_len"] = header["subspace_dim"]
+        load_or_reject(edited_header(saved_blob(), resize))
 
 
 class TestAtomicWrite:

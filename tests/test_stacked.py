@@ -8,6 +8,7 @@ tolerance fixed from float64 rounding.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from subspace_lvq.model import (
     _distances,
     _sample_terms,
     init_prototypes,
+    sigmoid,
     train,
 )
 from subspace_lvq.subspace import (
@@ -83,6 +85,21 @@ def old_distances(doc_basis, bases, weights, kind):
         sv = np.linalg.svd(doc_basis.T @ basis, compute_uv=False)
         out[i] = old_weighted_distance(np.clip(sv, 0.0, 1.0), weights, kind)
     return out
+
+
+def old_sample_terms(dists, correct_mask, beta):
+    """Winners by ``flatnonzero``/``argmin``, then the cost terms of ``_sample_terms``."""
+    correct_idx = np.flatnonzero(correct_mask)
+    wrong_idx = np.flatnonzero(~correct_mask)
+    j = int(correct_idx[np.argmin(dists[correct_idx])])
+    k = int(wrong_idx[np.argmin(dists[wrong_idx])])
+    d_plus, d_minus = dists[j], dists[k]
+    total = d_plus + d_minus
+    if total <= 0.0:
+        return None
+    e_val = sigmoid(beta * (d_plus - d_minus) / total)
+    common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
+    return j, k, e_val, common * d_minus, -common * d_plus
 
 
 def old_sgd(training, config):
@@ -173,6 +190,52 @@ class TestStackedKernels:
         for doc, row in zip(docs, got):
             np.testing.assert_allclose(row, old_distances(doc, list(stack), weights, kind),
                                        rtol=0, atol=1e-15)
+
+    @given(shapes, st.lists(st.integers(0, 3), min_size=2, max_size=2))
+    @settings(max_examples=100, deadline=None)
+    def test_take_matches_indexing_the_stack(self, shape, index):
+        dim, d, m, n_protos, seed = shape
+        rng = np.random.default_rng(seed)
+        doc = orthonormal(rng, dim, m)
+        stack = np.stack([orthonormal(rng, dim, d) for _ in range(n_protos)])
+        index = [i % n_protos for i in index]
+        systems = principal_system(doc, stack)
+        taken = systems.take(index)
+        for field in ("cosines", "doc_directions", "proto_directions", "right_vectors"):
+            assert getattr(taken, field).tobytes() == getattr(systems, field)[index].tobytes()
+        single = systems.take(index[0])
+        assert single.doc_directions.tobytes() == systems.doc_directions[index[0]].tobytes()
+
+    @pytest.mark.parametrize("dim,m,d", [(300, 23, 50), (300, 30, 300), (50, 40, 10)])
+    def test_taken_gradient_matches_per_matrix_calls_at_full_size(self, dim, m, d):
+        # The hypothesis shapes are too small to show it: at these sizes the
+        # gradient's matrix product rounds differently when the right
+        # singular vectors are copied into another memory layout.
+        rng = np.random.default_rng(7)
+        doc = orthonormal(rng, dim, m)
+        stack = np.stack([orthonormal(rng, dim, d) for _ in range(3)])
+        weights = np.full(d, 1.0 / d)
+        pair = [2, 0]
+        grads = distance_gradient_basis(principal_system(doc, stack).take(pair), weights, CHORDAL)
+        for grad, p in zip(grads, pair):
+            expected = old_gradient_basis(old_principal_system(doc, stack[p]), weights, CHORDAL)
+            assert grad.tobytes() == expected.tobytes()
+
+
+class TestWinners:
+    # Few distinct values, so that ties within and across classes are common.
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.booleans()),
+                    min_size=2, max_size=6),
+           st.sampled_from([0.5, 5.0]))
+    @settings(max_examples=300, deadline=None)
+    def test_sample_terms_match_argmin_winners(self, rows, beta):
+        assume(any(c for _, c in rows) and not all(c for _, c in rows))
+        dists = np.array([dist for dist, _ in rows])
+        mask = np.array([correct for _, correct in rows])
+        expected = old_sample_terms(dists, mask, beta)
+        for got in (_sample_terms(dists, mask, beta),
+                    _sample_terms(dists.tolist(), mask.tolist(), beta)):
+            assert got == expected
 
 
 class TestStackedTraining:
