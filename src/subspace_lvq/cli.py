@@ -6,18 +6,15 @@ annotation sampling, calibration, and an analytic-gradient self check.
 
 Each subcommand accepts only the flags it reads (``_COMMANDS``).  Options
 may also come from a flat ``key = value`` config file (``--config``), which
-may set any known option; explicit flags win over file values.  Commands
-that write files require ``--out`` and leave a run manifest there: written
-with status "running" before long work starts, finalized as "complete" on
-success and as "failed" (with the error) when the command raises or is
-interrupted.
-Logs go to stderr; data goes to stdout or files, never interleaved.
+may set any known option; explicit flags win over file values.  :func:`main`
+runs each command inside one :class:`Run`, which owns the ``--out``
+directory and its run manifest.  Logs go to stderr; data goes to stdout or
+files, never interleaved.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -39,6 +36,7 @@ from .corpus import (
     sample_for_annotation,
     split,
     write_corpus,
+    write_csv,
     write_scored,
 )
 from .embedding import load_embeddings, load_stopwords
@@ -59,6 +57,9 @@ from .synth import generate as generate_synthetic, write_synthetic
 log = logging.getLogger("subspace_lvq.cli")
 
 GRAD_CHECK_TOLERANCE = 1e-5
+
+# Commands whose ``--out`` is optional: without it they print to stdout.
+_OUT_OPTIONAL = ("evaluate", "predict", "rank")
 
 
 class _Flag(NamedTuple):
@@ -121,18 +122,13 @@ def read_config_file(path) -> dict[str, str]:
 
 
 class Options:
-    """Merged view of flags, config file and defaults; flags win.
-
-    Also holds the run manifest once the command has started one, so that
-    :func:`main` can finalize it if the command fails.
-    """
+    """Merged view of flags, config file and defaults; flags win."""
 
     def __init__(self, args: argparse.Namespace):
         self._args = vars(args)
         self.command = args.command
         config_path = self._args.get("config")
         self._file = read_config_file(config_path) if config_path else {}
-        self.manifest: Manifest | None = None
 
     def get(self, name, default=None, required=False):
         flag = _FLAGS[name]
@@ -143,6 +139,9 @@ class Options:
                 value = flag.type(raw)
             except ValueError as exc:
                 raise UsageError(f"config value {name} = {raw!r}: {exc}") from exc
+            if flag.choices is not None and value not in flag.choices:
+                raise UsageError(f"config value {name} = {raw!r}: must be one of "
+                                 f"{'/'.join(flag.choices)}")
         if value is None:
             value = default if flag.default is None else flag.default
         if value is None and required:
@@ -173,117 +172,121 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
 
-class Manifest:
-    """Run manifest under the output directory."""
+def _write_json(obj, path: Path, sort_keys=True) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=sort_keys) + "\n", encoding="utf-8")
 
-    def __init__(self, out_dir: Path, command: str, snapshot: dict):
-        self.path = out_dir / "manifest.json"
-        self.data = {
-            "command": command,
-            "config": snapshot,
+
+class Run:
+    """One command's output directory and manifest; :func:`main` starts and ends it.
+
+    With ``--out`` the directory is created and the manifest written, with
+    status "running" and a snapshot of the command's flags, before the
+    command reads any input.  Commands only name their outputs and set
+    extra manifest fields.  Without ``--out`` (allowed for ``evaluate``,
+    ``predict`` and ``rank``) there is no manifest and :meth:`write` sends
+    the data to stdout.
+    """
+
+    def __init__(self, opts: Options):
+        _, _, names = _COMMANDS[opts.command]
+        out = None
+        if "out" in names:
+            out = opts.get("out", required=opts.command not in _OUT_OPTIONAL)
+        self.out = None if out is None else Path(out)
+        if self.out is None:
+            return
+        self.manifest = {
+            "command": opts.command,
+            "config": {k: opts.get(k) for k in names},
             "started_at": _utcnow(),
             "status": "running",
             "outputs": [],
         }
-        self._write()
+        self.out.mkdir(parents=True, exist_ok=True)
+        _write_json(self.manifest, self.out / "manifest.json")
 
-    def _write(self):
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    def set(self, **fields) -> None:
+        """Extra manifest fields, such as counts and checksums."""
+        if self.out is not None:
+            self.manifest.update(fields)
 
-    def add_output(self, path: Path):
-        self.data["outputs"].append(str(path))
+    def output(self, path: Path) -> Path:
+        """List a file written under ``--out`` among the run's outputs."""
+        self.manifest["outputs"].append(str(path))
+        return path
 
-    def finalize(self, **extra):
-        self.data.update(extra)
-        self.data["finished_at"] = _utcnow()
-        self.data["status"] = "complete"
-        self._write()
+    def write(self, name: str, writer, data) -> Path | None:
+        """``writer(data, path)`` for the output ``name``; to stdout without ``--out``."""
+        if self.out is None:
+            writer(data, sys.stdout)
+            return None
+        path = self.out / name
+        writer(data, path)
+        return self.output(path)
 
-    def fail(self, exc: BaseException):
-        """Record a run that raised before :meth:`finalize` as failed."""
-        if self.data["status"] != "running":
+    def csv(self, name: str, header, rows) -> Path | None:
+        return self.write(name, write_csv, (header, rows))
+
+    def json(self, name: str, obj, sort_keys=False) -> Path:
+        path = self.out / name
+        _write_json(obj, path, sort_keys)
+        return self.output(path)
+
+    def end(self, exc: BaseException | None = None) -> None:
+        """Finish the manifest as complete, or as failed with ``exc``'s category."""
+        if self.out is None:
             return
-        if isinstance(exc, KeyboardInterrupt):
-            category = "interrupted"
-        else:
-            category = getattr(exc, "category", "internal")
-        self.data["error"] = {"category": category, "message": str(exc)}
-        self.data["finished_at"] = _utcnow()
-        self.data["status"] = "failed"
+        self.manifest["finished_at"] = _utcnow()
+        if exc is None:
+            self.manifest["status"] = "complete"
+            _write_json(self.manifest, self.out / "manifest.json")
+            return
+        category = ("interrupted" if isinstance(exc, KeyboardInterrupt)
+                    else getattr(exc, "category", "internal"))
+        self.manifest.update(status="failed", error={"category": category, "message": str(exc)})
         try:
-            self._write()
+            _write_json(self.manifest, self.out / "manifest.json")
         except OSError as write_exc:
-            log.warning("cannot finalize %s: %s", self.path, write_exc)
+            log.warning("cannot finalize %s/manifest.json: %s", self.out, write_exc)
 
 
-def _out_dir(opts, required=True) -> Path | None:
-    out = opts.get("out", required=required)
-    if out is None:
-        return None
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with path.open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _start_manifest(opts: Options, out: Path) -> Manifest:
-    """Write the manifest with a snapshot of the command's flags; see :class:`Options`."""
-    _, _, names = _COMMANDS[opts.command]
-    opts.manifest = Manifest(out, opts.command, {k: opts.get(k) for k in names})
-    return opts.manifest
-
-
-def _load_pipeline_inputs(opts, model=None):
+def _model_inputs(opts):
+    """Model, embedding table, stop words and corpus of a command that applies a model."""
+    model = load_model(opts.get("model", required=True))
     table = load_embeddings(opts.get("embeddings", required=True))
     stoplist = load_stopwords(opts.get("stopwords"))
-    if model is not None and table.dim != model.embedding_dim:
+    if table.dim != model.embedding_dim:
         raise DimensionError(
             f"embedding dimension {table.dim} does not match model "
             f"dimension {model.embedding_dim}"
         )
-    return table, stoplist
+    return model, table, stoplist, ingest(opts.get("corpus", required=True))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth_data(opts: Options) -> int:
-    seed = opts.get("seed", required=True)
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
+def cmd_synth_data(opts: Options, run: Run) -> int:
     corpus = generate_synthetic(
         docs_per_class=opts.get("docs_per_class"),
         dim=opts.get("dim"),
-        seed=seed,
+        seed=opts.get("seed", required=True),
     )
-    paths = write_synthetic(corpus, out)
-    for p in paths.values():
-        manifest.add_output(p)
-    manifest.finalize()
-    print(f"corpus {paths['corpus']}")
-    print(f"embeddings {paths['embeddings']}")
-    print(f"truth {paths['truth']}")
-    print(f"annotations {paths['annotations']}")
+    paths = write_synthetic(corpus, run.out)
+    for path in paths.values():
+        run.output(path)
+    for name in ("corpus", "embeddings", "truth", "annotations"):
+        print(f"{name} {paths[name]}")
     return 0
 
 
 def _train_config(opts) -> TrainConfig:
-    kind = opts.get("distance")
-    if kind not in DISTANCE_KINDS:
-        raise UsageError(f"--distance must be one of {'/'.join(DISTANCE_KINDS)}")
     return TrainConfig(
         subspace_dim=opts.get("d"),
         seed=opts.get("seed", required=True),
         beta=opts.get("beta"),
-        distance_kind=kind,
+        distance_kind=opts.get("distance"),
         lr_prototype=opts.get("lr_w"),
         lr_relevance=opts.get("lr_lambda"),
         epochs=opts.get("epochs"),
@@ -291,11 +294,10 @@ def _train_config(opts) -> TrainConfig:
     )
 
 
-def cmd_train(opts: Options) -> int:
+def cmd_train(opts: Options, run: Run) -> int:
     config = _train_config(opts)
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
-    table, stoplist = _load_pipeline_inputs(opts)
+    table = load_embeddings(opts.get("embeddings", required=True))
+    stoplist = load_stopwords(opts.get("stopwords"))
     if config.subspace_dim > table.dim:
         raise DimensionError(
             f"subspace dimension {config.subspace_dim} exceeds embedding "
@@ -304,31 +306,23 @@ def cmd_train(opts: Options) -> int:
     records = ingest(opts.get("corpus", required=True))
 
     fraction = opts.get("train_fraction")
-    test_records = None
+    train_records, test_records = records, None
     if fraction is not None:
         train_records, test_records = split(records, fraction, config.seed)
-        write_corpus(train_records, out / "train.jsonl")
-        write_corpus(test_records, out / "test.jsonl")
-        manifest.add_output(out / "train.jsonl")
-        manifest.add_output(out / "test.jsonl")
+        run.write("train.jsonl", write_corpus, train_records)
+        run.write("test.jsonl", write_corpus, test_records)
         log.info("split: %d train / %d test", len(train_records), len(test_records))
-    else:
-        train_records = records
 
     examples, skipped = corpus_to_subspaces(train_records, table, stoplist, config.subspace_dim)
     if skipped:
         log.warning("%d training records skipped", len(skipped))
     state = train(examples, config)
 
-    model_path = out / "model.bin"
-    save_model(state, model_path)
-    manifest.add_output(model_path)
-
-    log_path = out / "training_log.csv"
-    _write_csv(log_path, ["epoch", "mean_cost", "train_accuracy"],
-               ([epoch, format(cost, ".17g"), format(acc, ".17g")]
-                for epoch, cost, acc in state.training_log))
-    manifest.add_output(log_path)
+    model_path = run.write("model.bin", save_model, state)
+    run.csv("training_log.csv", ["epoch", "mean_cost", "train_accuracy"],
+            ([epoch, format(cost, ".17g"), format(acc, ".17g")]
+             for epoch, cost, acc in state.training_log))
+    run.set(model_checksum=model_checksum(model_path))
 
     print(f"model {model_path}")
     print(f"train_accuracy {state.training_log[-1][2]!r}")
@@ -340,15 +334,11 @@ def cmd_train(opts: Options) -> int:
             log.warning("%d test records skipped", len(test_skipped))
         report = evaluate(state, test_examples)
         print(f"test_accuracy {report.accuracy!r}")
-
-    manifest.finalize(model_checksum=model_checksum(model_path))
     return 0
 
 
-def cmd_evaluate(opts: Options) -> int:
-    state = load_model(opts.get("model", required=True))
-    table, stoplist = _load_pipeline_inputs(opts, model=state)
-    records = ingest(opts.get("corpus", required=True))
+def cmd_evaluate(opts: Options, run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(opts)
     examples, skipped = corpus_to_subspaces(records, table, stoplist, state.subspace_dim)
     if skipped:
         log.warning("%d records skipped", len(skipped))
@@ -358,25 +348,18 @@ def cmd_evaluate(opts: Options) -> int:
         metrics = report.per_class[label]
         print(f"class {label} precision {metrics['precision']!r} "
               f"recall {metrics['recall']!r} support {int(metrics['support'])}")
-    out = _out_dir(opts, required=False)
-    if out is not None:
-        manifest = _start_manifest(opts, out)
-        path = out / "evaluation.json"
-        path.write_text(json.dumps({
+    if run.out is not None:
+        run.json("evaluation.json", {
             "accuracy": report.accuracy,
             "per_class": report.per_class,
             "confusion": [[t, p, c] for (t, p), c in sorted(report.confusion.items())],
             "skipped": skipped,
-        }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-        manifest.add_output(path)
-        manifest.finalize()
+        }, sort_keys=True)
     return 0
 
 
-def cmd_predict(opts: Options) -> int:
-    state = load_model(opts.get("model", required=True))
-    table, stoplist = _load_pipeline_inputs(opts, model=state)
-    records = ingest(opts.get("corpus", required=True))
+def cmd_predict(opts: Options, run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(opts)
 
     def predict_one(rec):
         _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, state.subspace_dim)
@@ -387,62 +370,38 @@ def cmd_predict(opts: Options) -> int:
     header = ["case_id", "predicted_label"] + [
         f"dist_{i}_{p.label}" for i, p in enumerate(state.prototypes)
     ]
-    out = _out_dir(opts, required=False)
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(header)
-        writer.writerows(rows)
-    else:
-        manifest = _start_manifest(opts, out)
-        path = out / "predictions.csv"
-        _write_csv(path, header, rows)
-        manifest.add_output(path)
-        manifest.finalize(skipped=len(skipped))
+    path = run.csv("predictions.csv", header, rows)
+    run.set(skipped=len(skipped))
+    if path is not None:
         print(f"predictions {path}")
     return 0
 
 
-def cmd_explain(opts: Options) -> int:
-    state = load_model(opts.get("model", required=True))
-    table, stoplist = _load_pipeline_inputs(opts, model=state)
-    records = ingest(opts.get("corpus", required=True))
+def cmd_explain(opts: Options, run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(opts)
     top_k = opts.get("top_k")
     positive = opts.get("positive_label")
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
     if positive is not None:
         check_positive_label(state, positive)
     reports, skipped = map_records(
         records, lambda rec: explanation_report(rec, state, table, stoplist, top_k, positive))
-    jsonl_path = out / "explanations.jsonl"
-    csv_path = out / "explanations.csv"
-    write_reports_jsonl(reports, jsonl_path)
-    write_reports_csv(reports, csv_path)
-    manifest.add_output(jsonl_path)
-    manifest.add_output(csv_path)
-    manifest.finalize(skipped=len(skipped))
+    jsonl_path = run.write("explanations.jsonl", write_reports_jsonl, reports)
+    run.write("explanations.csv", write_reports_csv, reports)
+    run.set(skipped=len(skipped))
     print(f"explanations {jsonl_path}")
     print(f"explained {len(reports)}")
     return 0
 
 
-def cmd_score_corpus(opts: Options) -> int:
-    state = load_model(opts.get("model", required=True))
+def cmd_score_corpus(opts: Options, run: Run) -> int:
     positive = opts.get("positive_label", required=True)
-    table, stoplist = _load_pipeline_inputs(opts, model=state)
-    records = ingest(opts.get("corpus", required=True))
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
+    state, table, stoplist, records = _model_inputs(opts)
     scored, skipped = batch_score(records, state, table, stoplist, positive)
     ranked = rank(scored)
-    path = out / "scored.csv"
-    write_scored(ranked, path)
-    manifest.add_output(path)
+    path = run.write("scored.csv", write_scored, ranked)
     if skipped:
-        skip_path = out / "skipped.csv"
-        _write_csv(skip_path, ["case_id", "reason"], skipped)
-        manifest.add_output(skip_path)
-    manifest.finalize(scored=len(ranked), skipped=len(skipped))
+        run.csv("skipped.csv", ["case_id", "reason"], skipped)
+    run.set(scored=len(ranked), skipped=len(skipped))
     print(f"scored {path}")
     threshold = opts.get("threshold")
     if threshold is not None:
@@ -450,54 +409,34 @@ def cmd_score_corpus(opts: Options) -> int:
     return 0
 
 
-def cmd_rank(opts: Options) -> int:
-    scored = read_scored(opts.get("scored", required=True))
-    ranked = rank(scored)
-    out = _out_dir(opts, required=False)
-    if out is None:
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["case_id", "score", "percentile", "predicted_label"])
-        for s in ranked:
-            writer.writerow([s.case_id, format(s.score, ".17g"),
-                             format(s.percentile, ".17g"), s.predicted_label])
-    else:
-        manifest = _start_manifest(opts, out)
-        path = out / "ranked.csv"
-        write_scored(ranked, path)
-        manifest.add_output(path)
-        manifest.finalize()
+def cmd_rank(opts: Options, run: Run) -> int:
+    ranked = rank(read_scored(opts.get("scored", required=True)))
+    path = run.write("ranked.csv", write_scored, ranked)
+    if path is not None:
         print(f"ranked {path}")
     return 0
 
 
-def cmd_sample(opts: Options) -> int:
+def cmd_sample(opts: Options, run: Run) -> int:
     seed = opts.get("seed", required=True)
     scored = rank(read_scored(opts.get("scored", required=True)))
     bands = parse_bands(opts.get("bands", required=True))
-    per_band = opts.get("per_band")
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
-    sampled = sample_for_annotation(scored, bands, per_band, seed)
-    path = out / "sample.csv"
-    _write_csv(path, ["band_lo", "band_hi", "case_id"],
-               ([format(lo, "g"), format(hi, "g"), case_id]
-                for (lo, hi), ids in sampled.items() for case_id in ids))
-    manifest.add_output(path)
-    manifest.finalize(sampled=sum(len(v) for v in sampled.values()))
+    sampled = sample_for_annotation(scored, bands, opts.get("per_band"), seed)
+    path = run.csv("sample.csv", ["band_lo", "band_hi", "case_id"],
+                   ([format(lo, "g"), format(hi, "g"), case_id]
+                    for (lo, hi), ids in sampled.items() for case_id in ids))
+    run.set(sampled=sum(len(v) for v in sampled.values()))
     print(f"sample {path}")
     return 0
 
 
-def cmd_calibrate(opts: Options) -> int:
+def cmd_calibrate(opts: Options, run: Run) -> int:
     scored = rank(read_scored(opts.get("scored", required=True)))
     annotations = read_annotations(opts.get("annotations", required=True))
     bands = parse_bands(opts.get("bands", required=True))
     target = opts.get("target_precision")
-    out = _out_dir(opts)
-    manifest = _start_manifest(opts, out)
     report = calibrate(scored, annotations, bands, target)
-    path = out / "calibration.json"
-    path.write_text(json.dumps({
+    path = run.json("calibration.json", {
         "target_precision": report.target_precision,
         "threshold_score": report.threshold_score,
         "bands": [{
@@ -510,9 +449,7 @@ def cmd_calibrate(opts: Options) -> int:
             "positive": b.positive_count,
             "fraction_positive": b.fraction_positive,
         } for b in report.bands],
-    }, indent=2) + "\n", encoding="utf-8")
-    manifest.add_output(path)
-    manifest.finalize()
+    })
     print(f"calibration {path}")
     for b in report.bands:
         fraction = "undefined" if b.fraction_positive is None else repr(b.fraction_positive)
@@ -524,7 +461,7 @@ def cmd_calibrate(opts: Options) -> int:
     return 0
 
 
-def cmd_grad_check(opts: Options) -> int:
+def cmd_grad_check(opts: Options, run: Run) -> int:
     seed = opts.get("seed", default=20240)
     results, worst, elapsed = run_gradient_checks(base_seed=seed)
     for r in results:
@@ -590,19 +527,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    opts = None
+    args = build_parser().parse_args(argv)
+    run = None
     try:
         opts = Options(args)
-        return args.func(opts)
+        run = Run(opts)
+        code = args.func(opts, run)
     except BaseException as exc:
-        if opts is not None and opts.manifest is not None:
-            opts.manifest.fail(exc)
+        if run is not None:
+            run.end(exc)
         if not isinstance(exc, ToolkitError):
             raise
         print(f"error: {exc.category}: {exc}", file=sys.stderr)
         return 1
+    run.end()
+    return code
 
 
 if __name__ == "__main__":

@@ -12,6 +12,7 @@ import bisect
 import csv
 import dataclasses
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -333,18 +334,23 @@ def calibrate(
 # File formats: scored tables and annotation records
 # ---------------------------------------------------------------------------
 
-def write_scored(scored: list[ScoredCase], path) -> None:
-    """CSV with case_id, score (17 significant digits), percentile, label."""
+def write_csv(table, path) -> None:
+    """Write a ``(header, rows)`` table as CSV to a file, or to an open text handle."""
+    if not isinstance(path, (str, os.PathLike)):
+        writer = csv.writer(path)
+        writer.writerow(table[0])
+        writer.writerows(table[1])
+        return
     with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["case_id", "score", "percentile", "predicted_label"])
-        for s in scored:
-            writer.writerow([
-                s.case_id,
-                format(s.score, ".17g"),
-                "" if s.percentile is None else format(s.percentile, ".17g"),
-                s.predicted_label,
-            ])
+        write_csv(table, handle)
+
+
+def write_scored(scored: list[ScoredCase], path) -> None:
+    """CSV with case_id, score (17 significant digits), percentile, label; see :func:`write_csv`."""
+    rows = ([s.case_id, format(s.score, ".17g"),
+             "" if s.percentile is None else format(s.percentile, ".17g"), s.predicted_label]
+            for s in scored)
+    write_csv((["case_id", "score", "percentile", "predicted_label"], rows), path)
 
 
 def read_scored(path) -> list[ScoredCase]:

@@ -9,14 +9,13 @@ so it is invariant to word order and to re-parameterizations of the bases.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .corpus import CaseRecord, prepare_document
+from .corpus import CaseRecord, prepare_document, write_csv
 from .embedding import EmbeddingTable, WordMatrix
 from .errors import DataError
 from .model import ModelState, _positive_probability, check_positive_label, classify
@@ -133,10 +132,6 @@ def write_reports_jsonl(reports: list[ExplanationReport], path) -> None:
 
 def write_reports_csv(reports: list[ExplanationReport], path) -> None:
     """Flat (doc, word, impact) table for external plotting."""
-    with Path(path).open("w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["doc_id", "predicted_label", "word", "impact", "occurrences"])
-        for rep in reports:
-            for wi in rep.impacts:
-                writer.writerow([rep.doc_id, rep.predicted_label, wi.word,
-                                 format(wi.impact, ".17g"), wi.occurrences])
+    rows = ([rep.doc_id, rep.predicted_label, wi.word, format(wi.impact, ".17g"), wi.occurrences]
+            for rep in reports for wi in rep.impacts)
+    write_csv((["doc_id", "predicted_label", "word", "impact", "occurrences"], rows), path)

@@ -30,6 +30,13 @@ FORMAT_VERSION = 1
 _F64LE = np.dtype("<f8")
 
 
+def _int(value) -> int:
+    """A header integer: a JSON integer, not a float or a boolean."""
+    if type(value) is not int:
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
 def save_model(state: ModelState, path) -> None:
     """Serialize a model atomically (write to temp file, then rename)."""
     path = Path(path)
@@ -85,11 +92,11 @@ def load_model(path) -> ModelState:
         offset += header_len
 
         labels, shapes = header["prototype_labels"], header["prototype_shapes"]
-        dim, d = int(header["embedding_dim"]), int(header["subspace_dim"])
+        dim, d = _int(header["embedding_dim"]), _int(header["subspace_dim"])
         class_labels = list(header["class_labels"])
         slope, kind = float(header["sigmoid_slope"]), header["distance_kind"]
         hyperparams = dict(header["hyperparams"])
-        training_log = [(int(e), float(c), float(a)) for e, c, a in header["training_log"]]
+        training_log = [(_int(e), float(c), float(a)) for e, c, a in header["training_log"]]
         if dim < 1 or d < 1:
             raise ValueError(f"dimensions must be positive, got embedding_dim {dim}, "
                              f"subspace_dim {d}")
@@ -104,10 +111,11 @@ def load_model(path) -> ModelState:
                 f"header lists {len(labels)} prototype labels but {len(shapes)} shapes",
                 path=path)
         for i, shape in enumerate(shapes):
-            if (int(shape[0]), int(shape[1])) != (dim, d):
-                raise FormatError(f"prototype {i} has shape {(int(shape[0]), int(shape[1]))}, "
+            rows, cols = (_int(n) for n in shape)
+            if (rows, cols) != (dim, d):
+                raise FormatError(f"prototype {i} has shape {(rows, cols)}, "
                                   f"expected {(dim, d)}", path=path)
-        rel_len = int(header["relevance_len"])
+        rel_len = _int(header["relevance_len"])
         if rel_len != d:
             raise FormatError(f"relevance_len {rel_len} differs from subspace_dim {d}", path=path)
         relevances = np.frombuffer(blob, dtype=_F64LE, count=d, offset=offset).astype(np.float64)

@@ -115,6 +115,15 @@ class TestScoringFlow:
         percentiles = [float(r[2]) for r in rows]
         assert percentiles == pytest.approx([200 / 3, 100 / 3, 0.0])
 
+    def test_rank_stdout_matches_ranked_file(self, tmp_path, capsys):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label\n"
+                        "x,0.5,,p\ny,0.90000000000000002,,p\nz,0.5,,n\nw,0.1,17,n\n")
+        assert main(["rank", "--scored", str(path)]) == 0
+        printed = capsys.readouterr().out
+        assert main(["rank", "--scored", str(path), "--out", str(tmp_path / "r")]) == 0
+        assert printed.encode("utf-8") == (tmp_path / "r" / "ranked.csv").read_bytes()
+
     def test_sample_and_calibrate(self, workspace, tmp_path, capsys):
         data, run = workspace["data"], workspace["run"]
         scored_dir = tmp_path / "scored"
@@ -199,6 +208,17 @@ class TestConfigAndErrors:
         assert manifest["config"]["epochs"] == 1   # flag beats file
         assert manifest["config"]["seed"] == 21    # file beats default
 
+    def test_config_value_outside_choices_is_usage_error(self, tmp_path, workspace, capsys):
+        data = workspace["data"]
+        config = tmp_path / "run.conf"
+        config.write_text("distance = cosine\n")
+        code = main(["train", "--config", str(config), "--seed", "1",
+                     "--embeddings", str(data / "embeddings.txt"),
+                     "--corpus", str(data / "corpus.jsonl"), "--out", str(tmp_path / "x")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and "cosine" in err
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("nonsense = 1\n")
@@ -269,6 +289,56 @@ class TestFailedRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"]["category"] == "interrupted"
+        assert "finished_at" in manifest
+
+
+    # command -> (arguments after the command, error category)
+    FAILING = {
+        "synth-data": ([], "usage"),   # no --seed
+        "train": (["--embeddings", "{tmp}/bad_emb.txt", "--corpus", "{data}/corpus.jsonl",
+                   "--seed", "1"], "format"),
+        "evaluate": (["--model", "{model}", "--corpus", "{tmp}/oov.jsonl",
+                      "--embeddings", "{data}/embeddings.txt"], "data"),
+        "predict": (["--model", "{tmp}/missing.bin", "--corpus", "{data}/corpus.jsonl",
+                     "--embeddings", "{data}/embeddings.txt"], "format"),
+        "explain": (["--model", "{model}", "--corpus", "{data}/corpus.jsonl",
+                     "--embeddings", "{tmp}/bad_emb.txt"], "format"),
+        "score-corpus": (["--model", "{model}", "--corpus", "{data}/corpus.jsonl",
+                          "--embeddings", "{tmp}/bad_emb.txt", "--positive-label", "topic_a"],
+                         "format"),
+        "rank": (["--scored", "{tmp}/bad_scored.csv"], "format"),
+        "sample": (["--scored", "{tmp}/bad_scored.csv", "--bands", "0:50", "--seed", "1"],
+                   "format"),
+        "calibrate": (["--scored", "{tmp}/scored.csv", "--annotations", "{tmp}/bad_ann.jsonl",
+                       "--bands", "0:50"], "format"),
+    }
+
+    def test_every_command_with_out_is_covered(self):
+        takes_out = [c for c, (_, _, names) in cli._COMMANDS.items() if "out" in names]
+        assert sorted(self.FAILING) == sorted(takes_out)
+
+    @pytest.mark.parametrize("command", sorted(FAILING))
+    def test_bad_input_leaves_failed_manifest(self, command, workspace, tmp_path, capsys):
+        (tmp_path / "bad_emb.txt").write_text("word 1.0 oops\n")
+        (tmp_path / "oov.jsonl").write_text(
+            json.dumps({"case_id": "c1", "text": "zzzq", "label": "topic_a"}) + "\n")
+        (tmp_path / "scored.csv").write_text("case_id,score,percentile,predicted_label\n"
+                                             "x,0.5,,p\ny,0.9,,p\n")
+        (tmp_path / "bad_scored.csv").write_text("case_id,score,percentile,predicted_label\n"
+                                                 "x,1.5,,p\n")
+        (tmp_path / "bad_ann.jsonl").write_text('{"case_id": "x"}\n')
+        places = {"data": workspace["data"], "model": workspace["run"] / "model.bin",
+                  "tmp": tmp_path}
+        args, category = self.FAILING[command]
+        out = tmp_path / "out"
+        code = main([command] + [a.format(**places) for a in args] + ["--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {category}:")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == category
+        assert manifest["outputs"] == []
         assert "finished_at" in manifest
 
 

@@ -151,6 +151,16 @@ class TestModelValidation:
         lambda h: h.__setitem__("sigmoid_slope", 0.0),
         lambda h: h.__setitem__("sigmoid_slope", -5.0),
         lambda h: h.__setitem__("sigmoid_slope", float("inf")),
+        # integer fields take JSON integers only: no fractions, no booleans
+        lambda h: h.update(embedding_dim=12.9, subspace_dim=4.9, relevance_len=4.2,
+                           prototype_shapes=[[12.5, 4.0], [12.5, 4.0]]),
+        lambda h: h.__setitem__("embedding_dim", 12.0),
+        lambda h: h.__setitem__("subspace_dim", 4.0),
+        lambda h: h.__setitem__("relevance_len", 4.0),
+        lambda h: h.__setitem__("prototype_shapes", [[12, 4], [12.0, 4]]),
+        lambda h: h.__setitem__("prototype_shapes", [[12, 4], [12, 4, 1]]),
+        lambda h: h.__setitem__("training_log", [[False, 0.43, 0.5], [True, 0.13, 0.97]]),
+        lambda h: h.__setitem__("training_log", [[0, 0.43, 0.5], [1.5, 0.13, 0.97]]),
     ])
     def test_malformed_header_values_rejected(self, tmp_path, edit):
         path = self.saved(tmp_path)
