@@ -69,6 +69,14 @@ class _Flag(NamedTuple):
     choices: tuple | None = None
 
 
+def _positive_int(text) -> int:
+    """An integer option's value that must be at least 1."""
+    value = int(text)
+    if value < 1:
+        raise ValueError("must be a positive integer")
+    return value
+
+
 # Every option: ``--name`` on the command line (``_`` spelled ``-``) and
 # ``name`` in a config file.  A subcommand accepts the flags in its
 # ``_COMMANDS`` entry; a config file may set any of them.
@@ -90,9 +98,9 @@ _FLAGS = {
     "train_fraction": _Flag(float, None, "train split fraction in (0,1)"),
     "positive_label": _Flag(str, None, "positive class label"),
     "threshold": _Flag(float, None, "score threshold"),
-    "top_k": _Flag(int, 20, "words per explanation"),
+    "top_k": _Flag(_positive_int, 20, "words per explanation"),
     "bands": _Flag(str, None, "percentile bands, e.g. '87:88,88:89'"),
-    "per_band": _Flag(int, 20, "samples per band"),
+    "per_band": _Flag(_positive_int, 20, "samples per band"),
     "per_class": _Flag(int, 1, "prototypes per class"),
     "target_precision": _Flag(float, None, "calibration target precision"),
     "docs_per_class": _Flag(int, 200, "synthetic documents per class"),
@@ -132,15 +140,18 @@ class Options:
 
     def get(self, name, default=None, required=False):
         flag = _FLAGS[name]
-        value = self._args.get(name)
+        value, source = self._args.get(name), "--" + name.replace("_", "-")
         if value is None and name in self._file:
-            raw = self._file[name]
+            value, source = self._file[name], f"config value {name} ="
+        if value is not None:
+            # A no-op on a flag value argparse has already converted, except
+            # that it applies _positive_int's range check (see build_parser).
             try:
-                value = flag.type(raw)
+                value = flag.type(value)
             except ValueError as exc:
-                raise UsageError(f"config value {name} = {raw!r}: {exc}") from exc
+                raise UsageError(f"{source} {value!r}: {exc}") from exc
             if flag.choices is not None and value not in flag.choices:
-                raise UsageError(f"config value {name} = {raw!r}: must be one of "
+                raise UsageError(f"{source} {value!r}: must be one of "
                                  f"{'/'.join(flag.choices)}")
         if value is None:
             value = default if flag.default is None else flag.default
@@ -197,12 +208,17 @@ class Run:
             return
         self.manifest = {
             "command": opts.command,
-            "config": {k: opts.get(k) for k in names},
+            "config": {},
             "started_at": _utcnow(),
             "status": "running",
             "outputs": [],
         }
         self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.manifest["config"] = {k: opts.get(k) for k in names}
+        except UsageError as exc:
+            self.end(exc)
+            raise
         _write_json(self.manifest, self.out / "manifest.json")
 
     def set(self, **fields) -> None:
@@ -519,7 +535,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file; flags override")
         for name in names:
             flag = _FLAGS[name]
-            p.add_argument("--" + name.replace("_", "-"), dest=name, type=flag.type,
+            # A positive-integer flag is only parsed here; Options.get rejects
+            # a value below 1, so the run ends with a failed manifest.
+            p.add_argument("--" + name.replace("_", "-"), dest=name,
+                           type=int if flag.type is _positive_int else flag.type,
                            choices=flag.choices, help=flag.help)
     return parser
 

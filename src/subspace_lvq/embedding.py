@@ -13,6 +13,7 @@ import io
 import logging
 import zlib
 from collections.abc import Mapping
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -142,6 +143,14 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     parsed again and the cache rewritten.  Both paths give bit-identical
     vectors, and every entry is a row view of one ``(V, D)`` matrix.
 
+    For a file larger than one read chunk (1 MiB), the SHA-256 is computed
+    on one worker thread while the calling thread reads and checks the
+    cache.  Both release the GIL, so the two passes overlap, at the cost
+    of one thread and one 1 MiB read buffer per load.  The key and every
+    check are those of a smaller file, which is hashed first and its cache
+    read after, because a thread start would cost more than it saves
+    there.  No worker is left running when this function returns or raises.
+
     Raises
     ------
     FormatError
@@ -151,17 +160,26 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         If ``expected_dim`` is given and does not match the file.
     """
     path = Path(path)
+    cache = path.with_name(path.name + CACHE_SUFFIX)
     try:
-        digest = _sha256(path)
+        if path.stat().st_size <= _CHUNK:
+            digest = _sha256(path)
+            cached = _read_cache(cache)
+        else:
+            with ThreadPoolExecutor(max_workers=1) as pool:
+                hashing = pool.submit(_sha256, path)
+                cached = _read_cache(cache)
+                digest = hashing.result()
     except OSError as exc:
         raise FormatError(f"cannot read embedding file: {exc}", path=path) from exc
-    cache = path.with_name(path.name + CACHE_SUFFIX)
-    cached = _read_cache(cache, digest)
+    if cached is not None and cached[3] != digest.encode("ascii"):
+        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+        cached = None
     if cached is None:
         words, matrix, duplicates, digest = _parse_text(path)
         _write_cache(cache, digest, words, matrix, duplicates)
     else:
-        words, matrix, duplicates = cached
+        words, matrix, duplicates, _ = cached
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
     dim = matrix.shape[1]
@@ -194,9 +212,12 @@ class _HashingReader(io.RawIOBase):
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        while chunk := handle.read(_CHUNK):
-            digest.update(chunk)
+    # Unlike bytearray, np.empty leaves the buffer unzeroed, so a small file
+    # touches only the pages it fills.
+    buffer = np.empty(_CHUNK, dtype=np.uint8)
+    with path.open("rb", buffering=0) as handle:
+        while count := handle.readinto(buffer):
+            digest.update(buffer[:count])
     return digest.hexdigest()
 
 
@@ -272,12 +293,12 @@ def _checksum(duplicates: int, blob: np.ndarray, matrix: np.ndarray) -> int:
     return zlib.crc32(matrix, zlib.crc32(blob, crc))
 
 
-def _read_cache(cache: Path, digest: str):
-    """(words, matrix, duplicates) from a valid cache of the text whose SHA-256 is ``digest``.
+def _read_cache(cache: Path):
+    """(words, matrix, duplicates, the text's SHA-256 as ASCII hex) from a valid cache.
 
     Returns None, and the caller parses the text, when the cache is missing,
-    was written for other bytes or by another cache version, or fails any
-    check.
+    was written by another cache version, or fails any check.  The caller
+    compares the returned digest with the text's own.
     """
     try:
         with cache.open("rb") as handle:
@@ -289,7 +310,7 @@ def _read_cache(cache: Path, digest: str):
         log.info("%s: unreadable embedding cache, rebuilding: %r", cache, exc)
         return None
     if (meta.dtype == _CACHE_META and meta.shape == () and not trailing
-            and meta["version"] == _CACHE_VERSION and meta["digest"] == digest.encode("ascii")
+            and meta["version"] == _CACHE_VERSION
             and blob.dtype == np.uint8 and blob.ndim == 1
             and matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] > 0
             and matrix.flags.c_contiguous
@@ -300,7 +321,7 @@ def _read_cache(cache: Path, digest: str):
         except UnicodeDecodeError:
             words = []
         if len(words) == matrix.shape[0] == len(set(words)):
-            return words, matrix, int(meta["duplicates"])
+            return words, matrix, int(meta["duplicates"]), bytes(meta["digest"])
     log.info("%s: stale or damaged embedding cache, rebuilding", cache)
     return None
 

@@ -342,6 +342,36 @@ class TestFailedRuns:
         assert "finished_at" in manifest
 
 
+class TestPositiveIntFlags:
+    """A count below 1 fails the run as a usage error before any input is read."""
+
+    @pytest.mark.parametrize("command, argv, config, named", [
+        ("explain", ["--top-k", "0"], "", "--top-k 0"),
+        ("explain", [], "top_k = 0\n", "top_k = '0'"),
+        ("sample", ["--per-band", "-1"], "", "--per-band -1"),
+        ("sample", ["--per-band", "0"], "", "--per-band 0"),
+        ("sample", [], "per_band = -3\n", "per_band = '-3'"),
+    ], ids=["explain-flag", "explain-config", "sample-flag-negative", "sample-flag-zero",
+            "sample-config"])
+    def test_below_one_is_usage_error(self, command, argv, config, named, tmp_path, capsys):
+        missing = str(tmp_path / "missing")   # reading any input would be a format error
+        inputs = {"explain": ["--model", missing, "--corpus", missing, "--embeddings", missing],
+                  "sample": ["--scored", missing, "--bands", "0:50", "--seed", "1"]}
+        conf = tmp_path / "run.conf"
+        conf.write_text(config)
+        out = tmp_path / "out"
+        code = main([command, "--config", str(conf)] + inputs[command] + argv
+                    + ["--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: usage:") and named in err
+        assert "must be a positive integer" in err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == "usage"
+        assert manifest["outputs"] == []
+
+
 class TestPositiveLabel:
     """An unknown positive label fails the whole run, not each record."""
 

@@ -2,11 +2,12 @@
 
 import errno
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from subspace_lvq import atomic, embedding
@@ -214,7 +215,11 @@ class TestEmbeddingCache:
     @given(st.integers(1, 4).flatmap(lambda dim: st.lists(
         st.one_of(st.none(), st.tuples(_words, st.lists(_floats, min_size=dim, max_size=dim))),
         min_size=1, max_size=12)))
-    @settings(max_examples=60, deadline=None)
+    # TestEmbeddingCacheThreaded runs this property again under a fixture
+    # that only sets the read chunk, the same for every example.
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_hit_is_bit_identical_to_parse(self, lines):
         """None is a blank line; repeated words keep the last vector in first-seen order."""
         expected = {}
@@ -265,7 +270,7 @@ class TestEmbeddingCache:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
-        "duplicate_words", "not_npy",
+        "duplicate_words", "not_npy", "wrong_digest",
     ])
     def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
         path = tmp_path / "emb.txt"
@@ -297,6 +302,9 @@ class TestEmbeddingCache:
             write_cache_records(cache, meta, blob, matrix)
         elif damage == "not_npy":
             cache.write_bytes(b"garbage" * 20)
+        elif damage == "wrong_digest":   # passes every check of the cache itself
+            meta["digest"] = b"0" * 64
+            write_cache_records(cache, meta, blob, matrix)
         assert_same_table(reference, load_embeddings(path))
         assert cache.read_bytes() == good
 
@@ -362,6 +370,74 @@ class TestEmbeddingCache:
         table = load_embeddings(path)
         assert list(table.entries) == ["a", "b", "c"]
         assert_same_table(table, load_embeddings(path))
+
+    def test_unreadable_text_beside_valid_cache(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        load_embeddings(path)
+        good = cache_of(path).read_bytes()
+        path.unlink()
+        path.mkdir()   # opening a directory for reading fails
+        (path / ("x" * 40)).touch()   # a size above a few bytes on every file system
+        with pytest.raises(FormatError, match="cannot read embedding file: "):
+            load_embeddings(path)
+        assert cache_of(path).read_bytes() == good
+
+    def test_no_thread_outlives_a_load(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        before = threading.active_count()
+        load_embeddings(path)                          # miss
+        assert threading.active_count() == before
+        load_embeddings(path)                          # hit
+        assert threading.active_count() == before
+        path.write_text("a 1.0 0.5\nb 0.0 oops\n")
+        with pytest.raises(FormatError):               # failed load
+            load_embeddings(path)
+        assert threading.active_count() == before
+
+
+class TestEmbeddingCacheThreaded(TestEmbeddingCache):
+    """Every cache case again, on the path that hashes the text on a worker thread."""
+
+    @pytest.fixture(autouse=True)
+    def small_chunk(self, monkeypatch):
+        monkeypatch.setattr(embedding, "_CHUNK", 4)
+
+    def test_digest_runs_on_a_worker_thread(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        load_embeddings(path)
+        threads = []
+        sha256 = embedding._sha256
+
+        def spy(path):
+            threads.append(threading.current_thread())
+            return sha256(path)
+
+        monkeypatch.setattr(embedding, "_sha256", spy)
+        load_embeddings(path)
+        assert len(threads) == 1 and threads[0] is not threading.main_thread()
+        assert not threads[0].is_alive()
+
+
+def test_large_table_hit_is_bit_identical_to_parse(tmp_path, monkeypatch):
+    """A table above the real read chunk takes the threaded path with its own buffer size."""
+    rng = np.random.default_rng(3)
+    table = EmbeddingTable(dim=40, entries={f"w{i}": rng.standard_normal(40)
+                                            for i in range(1500)})
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    assert path.stat().st_size > embedding._CHUNK
+    parsed = load_embeddings(path)
+
+    def fail(path):
+        raise AssertionError(f"{path} was parsed although its cache is valid")
+
+    monkeypatch.setattr(embedding, "_parse_text", fail)
+    cached = load_embeddings(path)
+    assert_same_table(parsed, cached)
+    assert_same_table(table, cached)
 
 
 def read_cache_records(cache):
