@@ -279,14 +279,18 @@ class TestDistinctWordSvd:
         left, sigma, _ = np.linalg.svd(full, full_matrices=False)
         kept = int(np.sum(sigma > RANK_RTOL * sigma[0]))
         k = min(d, kept)
-        # The subspace is determined only with a clear gap after sigma_k, and
-        # the rank only with every singular value clear of the rank threshold.
+        # The rank is determined only with every singular value clear of the
+        # rank threshold.
         assume(np.all((sigma > 1e-6 * sigma[0]) | (sigma < 1e-14 * sigma[0])))
-        assume(k == kept or sigma[k - 1] - sigma[k] > 1e-2 * sigma[0])
         matrix = WordMatrix("doc", full, tokens=[f"w{p}" for p in picks])
         assert distinct_columns(matrix).shape[1] == len(set(picks))
         sub = compute_subspace(matrix, d)
         assert sub.effective_dim == k
+        # The subspace is determined to ~eps * sigma_1 / gap, with the gap
+        # taken after sigma_k; when k == kept the next value is numerically 0,
+        # so the gap is sigma_k itself, which may be as small as 1e-6 sigma_1.
+        gap = sigma[k - 1] - (sigma[k] if k < len(sigma) else 0.0)
+        assume(gap > 1e-2 * sigma[0])
         np.testing.assert_allclose(projector(sub.basis), projector(left[:, :k]),
                                    rtol=0, atol=1e-12)
 
