@@ -214,11 +214,17 @@ class Run:
             "outputs": [],
         }
         self.out.mkdir(parents=True, exist_ok=True)
-        try:
-            self.manifest["config"] = {k: opts.get(k) for k in names}
-        except UsageError as exc:
-            self.end(exc)
-            raise
+        # One key at a time, so a rejected value leaves every other value on
+        # record; the error message names the rejected one.
+        error = None
+        for name in names:
+            try:
+                self.manifest["config"][name] = opts.get(name)
+            except UsageError as exc:
+                error = error or exc
+        if error is not None:
+            self.end(error)
+            raise error
         _write_json(self.manifest, self.out / "manifest.json")
 
     def set(self, **fields) -> None:

@@ -13,7 +13,6 @@ import io
 import logging
 import zlib
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -37,6 +36,10 @@ _CACHE_VERSION = 1
 _CACHE_META = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<u8"),
                         ("checksum", "<u4")])
 _CHUNK = 1 << 20
+# The hashing buffer.  Hashing a 57 MB file took the same ~40 ms with this
+# and with a 1 MiB buffer, but the 1 MiB one, allocated on the hashing
+# thread, raised peak RSS by about 1 MiB more.
+_HASH_CHUNK = 1 << 18
 
 
 class RowMap(Mapping):
@@ -146,7 +149,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     For a file larger than one read chunk (1 MiB), the SHA-256 is computed
     on one worker thread while the calling thread reads and checks the
     cache.  Both release the GIL, so the two passes overlap, at the cost
-    of one thread and one 1 MiB read buffer per load.  The key and every
+    of one thread and one 256 KiB read buffer per load.  The key and every
     check are those of a smaller file, which is hashed first and its cache
     read after, because a thread start would cost more than it saves
     there.  No worker is left running when this function returns or raises.
@@ -162,10 +165,17 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     path = Path(path)
     cache = path.with_name(path.name + CACHE_SUFFIX)
     try:
+        # A worker thread on every load raised the median load time of an
+        # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
+        # stay sequential.
         if path.stat().st_size <= _CHUNK:
             digest = _sha256(path)
             cached = _read_cache(cache)
         else:
+            # Imported only here: the module adds ~0.35 MiB of peak RSS,
+            # which a process that loads only small tables need not pay.
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=1) as pool:
                 hashing = pool.submit(_sha256, path)
                 cached = _read_cache(cache)
@@ -214,7 +224,7 @@ def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
     # Unlike bytearray, np.empty leaves the buffer unzeroed, so a small file
     # touches only the pages it fills.
-    buffer = np.empty(_CHUNK, dtype=np.uint8)
+    buffer = np.empty(_HASH_CHUNK, dtype=np.uint8)
     with path.open("rb", buffering=0) as handle:
         while count := handle.readinto(buffer):
             digest.update(buffer[:count])

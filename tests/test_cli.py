@@ -370,6 +370,11 @@ class TestPositiveIntFlags:
         assert manifest["status"] == "failed"
         assert manifest["error"]["category"] == "usage"
         assert manifest["outputs"] == []
+        # every value but the rejected one stays on record
+        rejected = {"explain": "top_k", "sample": "per_band"}[command]
+        _, _, names = cli._COMMANDS[command]
+        assert set(manifest["config"]) == set(names) - {rejected}
+        assert manifest["config"]["out"] == str(out)
 
 
 class TestPositiveLabel:

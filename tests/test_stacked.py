@@ -9,7 +9,7 @@ tolerance fixed from float64 rounding.
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from subspace_lvq.embedding import WordMatrix
@@ -268,6 +268,8 @@ class TestDistinctWordSvd:
            d=st.integers(1, 10), seed=st.integers(0, 2**32 - 1),
            picks=st.lists(st.integers(0, 7), min_size=2, max_size=40))
     @settings(max_examples=200, deadline=None)
+    # sigma_5 / sigma_1 = 2.8e-5: off by 1.2e-12, inside the gap-derived tolerance
+    @example(dim=7, distinct=7, rank=5, d=5, seed=23788, picks=[6, 1, 0, 0, 0, 2, 4])
     def test_projector_matches_full_column_svd(self, dim, distinct, rank, d, seed, picks):
         assume(d <= dim)
         rng = np.random.default_rng(seed)
@@ -279,20 +281,24 @@ class TestDistinctWordSvd:
         left, sigma, _ = np.linalg.svd(full, full_matrices=False)
         kept = int(np.sum(sigma > RANK_RTOL * sigma[0]))
         k = min(d, kept)
-        # The rank is determined only with every singular value clear of the
-        # rank threshold.
+        # The subspace is determined only with a clear gap after sigma_k, and
+        # the rank only with every singular value clear of the rank threshold.
         assume(np.all((sigma > 1e-6 * sigma[0]) | (sigma < 1e-14 * sigma[0])))
+        assume(k == kept or sigma[k - 1] - sigma[k] > 1e-2 * sigma[0])
         matrix = WordMatrix("doc", full, tokens=[f"w{p}" for p in picks])
         assert distinct_columns(matrix).shape[1] == len(set(picks))
         sub = compute_subspace(matrix, d)
         assert sub.effective_dim == k
-        # The subspace is determined to ~eps * sigma_1 / gap, with the gap
-        # taken after sigma_k; when k == kept the next value is numerically 0,
-        # so the gap is sigma_k itself, which may be as small as 1e-6 sigma_1.
+        # Each SVD is backward stable to a few eps * sigma_1, so (Davis-Kahan)
+        # each projector is within that over the gap after sigma_k.  With
+        # k == kept the next value is numerically 0 and the gap is sigma_k,
+        # which may be as small as 1e-6 sigma_1; a gap above 1e-2 sigma_1
+        # keeps the bound under 1e-12.  Measured errors stay below 9x
+        # eps * sigma_1 / gap.
         gap = sigma[k - 1] - (sigma[k] if k < len(sigma) else 0.0)
-        assume(gap > 1e-2 * sigma[0])
+        atol = max(1e-12, 32 * np.finfo(float).eps * sigma[0] / gap)
         np.testing.assert_allclose(projector(sub.basis), projector(left[:, :k]),
-                                   rtol=0, atol=1e-12)
+                                   rtol=0, atol=atol)
 
     def test_matrix_without_repeats_is_used_as_is(self):
         cols = np.random.default_rng(0).standard_normal((5, 3))
