@@ -103,8 +103,8 @@ _FLAGS = {
     "per_band": _Flag(_positive_int, 20, "samples per band"),
     "per_class": _Flag(int, 1, "prototypes per class"),
     "target_precision": _Flag(float, None, "calibration target precision"),
-    "docs_per_class": _Flag(int, 200, "synthetic documents per class"),
-    "dim": _Flag(int, 50, "synthetic embedding dimension"),
+    "docs_per_class": _Flag(_positive_int, 200, "synthetic documents per class"),
+    "dim": _Flag(_positive_int, 50, "synthetic embedding dimension"),
 }
 
 
@@ -113,7 +113,7 @@ def read_config_file(path) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
@@ -275,13 +275,9 @@ class Run:
 def _model_inputs(opts):
     """Model, embedding table, stop words and corpus of a command that applies a model."""
     model = load_model(opts.get("model", required=True))
-    table = load_embeddings(opts.get("embeddings", required=True))
+    table = load_embeddings(opts.get("embeddings", required=True),
+                            expected_dim=model.embedding_dim)
     stoplist = load_stopwords(opts.get("stopwords"))
-    if table.dim != model.embedding_dim:
-        raise DimensionError(
-            f"embedding dimension {table.dim} does not match model "
-            f"dimension {model.embedding_dim}"
-        )
     return model, table, stoplist, ingest(opts.get("corpus", required=True))
 
 

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import EmbeddingTable, PreprocessedDoc, WordMatrix, embed, preprocess
-from .errors import DataError, DimensionError, EmptyDocumentError, FormatError, map_records
+from .errors import DataError, DimensionError, EmptyDocumentError, FormatError, map_records, reading
 from .model import ModelState, _positive_probability, check_positive_label, classify
 from .subspace import LabeledSubspace, Subspace, compute_subspace
 
@@ -70,16 +70,13 @@ def ingest(path) -> list[CaseRecord]:
     records: list[CaseRecord] = []
     if path.is_dir():
         for file in sorted(path.glob("*.txt")):
-            text = file.read_text(encoding="utf-8")
+            with reading(file, "case file"):
+                text = file.read_text(encoding="utf-8")
             if not text.strip():
                 raise FormatError("empty case text", path=file)
             records.append(CaseRecord(case_id=file.stem, text=text))
     else:
-        try:
-            handle = path.open("r", encoding="utf-8")
-        except OSError as exc:
-            raise FormatError(f"cannot read corpus: {exc}", path=path) from exc
-        with handle:
+        with reading(path, "corpus"), path.open("r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
@@ -363,11 +360,7 @@ def read_scored(path) -> list[ScoredCase]:
     path = Path(path)
     out = []
     seen: set[str] = set()
-    try:
-        handle = path.open("r", encoding="utf-8", newline="")
-    except OSError as exc:
-        raise FormatError(f"cannot read scored file: {exc}", path=path) from exc
-    with handle:
+    with reading(path, "scored file"), path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or header[:2] != ["case_id", "score"]:
@@ -406,11 +399,7 @@ def read_annotations(path) -> dict[str, bool]:
     """JSON-lines annotations: {"case_id": ..., "positive": true|false}."""
     path = Path(path)
     out: dict[str, bool] = {}
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read annotations: {exc}", path=path) from exc
-    with handle:
+    with reading(path, "annotations"), path.open("r", encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import DimensionError, EmptyDocumentError, FormatError
+from .errors import DimensionError, EmptyDocumentError, FormatError, reading
 
 log = logging.getLogger(__name__)
 
@@ -164,7 +164,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     """
     path = Path(path)
     cache = path.with_name(path.name + CACHE_SUFFIX)
-    try:
+    with reading(path, "embedding file"):
         # A worker thread on every load raised the median load time of an
         # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
         # stay sequential.
@@ -180,16 +180,14 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
                 hashing = pool.submit(_sha256, path)
                 cached = _read_cache(cache)
                 digest = hashing.result()
-    except OSError as exc:
-        raise FormatError(f"cannot read embedding file: {exc}", path=path) from exc
-    if cached is not None and cached[3] != digest.encode("ascii"):
-        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
-        cached = None
-    if cached is None:
-        words, matrix, duplicates, digest = _parse_text(path)
-        _write_cache(cache, digest, words, matrix, duplicates)
-    else:
-        words, matrix, duplicates, _ = cached
+        if cached is not None and cached[3] != digest.encode("ascii"):
+            log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+            cached = None
+        if cached is None:
+            words, matrix, duplicates, digest = _parse_text(path)
+            _write_cache(cache, digest, words, matrix, duplicates)
+        else:
+            words, matrix, duplicates, _ = cached
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
     dim = matrix.shape[1]
@@ -250,49 +248,43 @@ def _parse_text(path: Path):
 
     The digest is taken from the bytes the parser reads, not from an earlier
     pass, so a cache never pairs one version of the file with another's data.
+    Read and decode errors propagate to the caller's :func:`reading` block.
     """
-    try:
-        capacity = _row_capacity(path)
-        raw = path.open("rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read embedding file: {exc}", path=path) from exc
+    capacity = _row_capacity(path)
     digest = hashlib.sha256()
     rows: dict[str, int] = {}
     matrix = None
     duplicates = 0
-    with io.TextIOWrapper(io.BufferedReader(_HashingReader(raw, digest), _CHUNK),
+    with io.TextIOWrapper(io.BufferedReader(_HashingReader(path.open("rb"), digest), _CHUNK),
                           encoding="utf-8") as handle:
-        try:
-            for lineno, line in enumerate(handle, start=1):
-                parts = line.rstrip("\n").split(" ")
-                if parts == [""]:
-                    continue
-                if len(parts) < 2:
-                    raise FormatError("expected a token and at least one float",
-                                      path=path, line=lineno)
-                try:
-                    values = [float(p) for p in parts[1:]]
-                except ValueError as exc:
-                    raise FormatError(f"malformed float: {exc}", path=path, line=lineno) from exc
-                if matrix is None:
-                    matrix = np.empty((capacity, len(values)), dtype=np.float64)
-                elif len(values) != matrix.shape[1]:
-                    raise FormatError(
-                        f"inconsistent dimension: expected {matrix.shape[1]}, got {len(values)}",
-                        path=path, line=lineno,
-                    )
-                row = rows.get(parts[0])
-                if row is not None:
-                    duplicates += 1
-                elif len(rows) == capacity:
-                    raise FormatError("file changed while it was read", path=path)
-                else:
-                    row = rows[parts[0]] = len(rows)
-                matrix[row] = values
-                if not np.isfinite(matrix[row]).all():
-                    raise FormatError("non-finite embedding component", path=path, line=lineno)
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+        for lineno, line in enumerate(handle, start=1):
+            parts = line.rstrip("\n").split(" ")
+            if parts == [""]:
+                continue
+            if len(parts) < 2:
+                raise FormatError("expected a token and at least one float",
+                                  path=path, line=lineno)
+            try:
+                values = [float(p) for p in parts[1:]]
+            except ValueError as exc:
+                raise FormatError(f"malformed float: {exc}", path=path, line=lineno) from exc
+            if matrix is None:
+                matrix = np.empty((capacity, len(values)), dtype=np.float64)
+            elif len(values) != matrix.shape[1]:
+                raise FormatError(
+                    f"inconsistent dimension: expected {matrix.shape[1]}, got {len(values)}",
+                    path=path, line=lineno,
+                )
+            row = rows.get(parts[0])
+            if row is not None:
+                duplicates += 1
+            elif len(rows) == capacity:
+                raise FormatError("file changed while it was read", path=path)
+            else:
+                row = rows[parts[0]] = len(rows)
+            matrix[row] = values
+            if not np.isfinite(matrix[row]).all():
+                raise FormatError("non-finite embedding component", path=path, line=lineno)
     if matrix is None:
         raise FormatError("empty embedding file", path=path)
     return list(rows), matrix[: len(rows)], duplicates, digest.hexdigest()
@@ -397,11 +389,7 @@ def load_stopwords(path=None) -> frozenset[str]:
     """
     path = Path(path) if path is not None else default_stopwords_path()
     words = set()
-    try:
-        handle = path.open("r", encoding="utf-8")
-    except OSError as exc:
-        raise FormatError(f"cannot read stop-word file: {exc}", path=path) from exc
-    with handle:
+    with reading(path, "stop-word file"), path.open("r", encoding="utf-8") as handle:
         for line in handle:
             word = line.strip()
             if word and not word.startswith("#"):

@@ -1,4 +1,5 @@
-"""Exception types shared across the toolkit, and the per-record skip loop.
+"""Exception types shared across the toolkit, the input-file read guard and
+the per-record skip loop.
 
 Every error raised by this package derives from :class:`ToolkitError` and
 carries a short machine-readable ``category`` used by the CLI for exit
@@ -6,6 +7,7 @@ reporting.
 """
 
 import logging
+from contextlib import contextmanager
 
 log = logging.getLogger(__name__)
 
@@ -31,6 +33,22 @@ class FormatError(ToolkitError):
         super().__init__(loc + message)
         self.path = path
         self.line = line
+
+
+@contextmanager
+def reading(path, what: str):
+    """Report a failure to read the input file ``path`` as a :class:`FormatError`.
+
+    An ``OSError`` becomes "cannot read <what>: ..." and a
+    ``UnicodeDecodeError`` "not UTF-8 text: ...", both naming the file.
+    Open the file inside the block, so that a failed open is reported too.
+    """
+    try:
+        yield
+    except OSError as exc:
+        raise FormatError(f"cannot read {what}: {exc}", path=path) from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
 
 
 class DimensionError(ToolkitError):

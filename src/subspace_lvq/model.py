@@ -29,16 +29,15 @@ from .geometry import (
     CHORDAL,
     DISTANCE_KINDS,
     _row_distances,
-    check_orthonormal,
     distance_gradient_basis,
     distance_gradient_weights,
+    principal_angles,
     principal_system,
     project_simplex,
     qr_retract,
-    sign_normalize_columns,
     weighted_distance,
 )
-from .subspace import LabeledSubspace, Subspace
+from .subspace import LabeledSubspace, Subspace, _svd_basis
 
 log = logging.getLogger(__name__)
 
@@ -102,10 +101,6 @@ class ModelState:
     hyperparams: dict = field(default_factory=dict)
     training_log: list[tuple[int, float, float]] = field(default_factory=list)
 
-    @property
-    def n_prototypes(self) -> int:
-        return len(self.prototypes)
-
     def prototype_labels(self) -> list[str]:
         return [p.label for p in self.prototypes]
 
@@ -137,10 +132,7 @@ def cost_term(d_plus: float, d_minus: float, beta: float) -> tuple[float, float]
 def distance(doc: Subspace, proto: Prototype, weights: np.ndarray, kind: str) -> float:
     """Relevance-weighted subspace distance between a document and a prototype."""
     _check_weights(weights)
-    check_orthonormal(doc.basis, name="document basis")
-    check_orthonormal(proto.basis, name="prototype basis")
-    system = principal_system(doc.basis, proto.basis)
-    return weighted_distance(system.cosines, weights, kind)
+    return weighted_distance(principal_angles(doc.basis, proto.basis).cosines, weights, kind)
 
 
 def _check_weights(weights: np.ndarray, atol: float = 1e-12):
@@ -285,9 +277,7 @@ def init_prototypes(
             take = min(_INIT_SAMPLE_CAP, len(idxs))
             chosen = rng.choice(len(idxs), size=take, replace=False)
             stacked = np.hstack([training[idxs[int(c)]].subspace.basis for c in chosen])
-            left, sigma, _ = np.linalg.svd(stacked, full_matrices=False)
-            rank = int(np.sum(sigma > 1e-10 * sigma[0]))
-            basis = sign_normalize_columns(left[:, : min(d, rank)])
+            basis = _svd_basis(stacked, d)
             if basis.shape[1] < d:
                 basis = _complete_basis(basis, d, rng)
             prototypes.append(Prototype(basis=np.ascontiguousarray(basis), label=label))
@@ -470,15 +460,6 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
 # Gradient verification
 # ---------------------------------------------------------------------------
 
-def total_cost(bases, proto_labels, weights, examples, beta, kind) -> float:
-    """Sum of per-sample sigmoid costs; winner selection included.
-
-    ``examples`` is a list of (doc_basis, label).  No orthonormality
-    validation, so finite-difference probes of the raw entries are allowed.
-    """
-    return _cost_pass(bases, proto_labels, weights, examples, beta, kind)[0]
-
-
 def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind):
     """Cost plus its gradient w.r.t. every prototype entry and weight."""
     stack = np.asarray(bases)
@@ -505,7 +486,6 @@ class GradCheckResult:
     kind: str
     seed: int
     rel_error: float      # ||analytic - fd|| / max(||analytic||, ||fd||) over all params
-    max_abs_diff: float
 
 
 def random_orthonormal(dim: int, k: int, rng) -> np.ndarray:
@@ -540,23 +520,24 @@ def gradient_check(
 
     _, grads_w, grad_l = total_cost_and_gradients(bases, labels, weights, examples, 5.0, kind)
 
+    # _cost_pass checks no orthonormality, so the probes may move raw entries.
     fd_w = [np.zeros_like(b) for b in bases]
     for p, basis in enumerate(bases):
         for i in range(embedding_dim):
             for j in range(subspace_dim):
                 probe = [b.copy() for b in bases]
                 probe[p][i, j] += eps
-                up = total_cost(probe, labels, weights, examples, 5.0, kind)
+                up = _cost_pass(probe, labels, weights, examples, 5.0, kind)[0]
                 probe[p][i, j] -= 2 * eps
-                down = total_cost(probe, labels, weights, examples, 5.0, kind)
+                down = _cost_pass(probe, labels, weights, examples, 5.0, kind)[0]
                 fd_w[p][i, j] = (up - down) / (2 * eps)
     fd_l = np.zeros_like(weights)
     for i in range(subspace_dim):
         probe = weights.copy()
         probe[i] += eps
-        up = total_cost(bases, labels, probe, examples, 5.0, kind)
+        up = _cost_pass(bases, labels, probe, examples, 5.0, kind)[0]
         probe[i] -= 2 * eps
-        down = total_cost(bases, labels, probe, examples, 5.0, kind)
+        down = _cost_pass(bases, labels, probe, examples, 5.0, kind)[0]
         fd_l[i] = (up - down) / (2 * eps)
 
     analytic = np.concatenate([g.ravel() for g in grads_w] + [grad_l])
@@ -568,23 +549,18 @@ def gradient_check(
         kind=kind,
         seed=seed,
         rel_error=float(np.linalg.norm(analytic - numeric) / denom),
-        max_abs_diff=float(np.max(np.abs(analytic - numeric))),
     )
 
 
-def gradient_check_battery(base_seed: int = 20240, n_configs: int = 20) -> list[GradCheckResult]:
-    """Gradient checks over random (dim, d, kind) configurations."""
-    grid = itertools.cycle(itertools.product((8, 20), (2, 5), DISTANCE_KINDS))
-    results = []
-    for i, (dim, d, kind) in zip(range(n_configs), grid):
-        results.append(gradient_check(dim, d, kind, seed=base_seed + i))
-    return results
-
-
 def run_gradient_checks(base_seed: int = 20240, n_configs: int = 20):
-    """Battery wrapper returning (results, max relative error, elapsed seconds)."""
+    """Gradient checks over cycled (dim, d, kind) configurations.
+
+    Returns (results, max relative error, elapsed seconds).
+    """
     start = time.perf_counter()
-    results = gradient_check_battery(base_seed, n_configs)
+    grid = itertools.cycle(itertools.product((8, 20), (2, 5), DISTANCE_KINDS))
+    results = [gradient_check(dim, d, kind, seed=base_seed + i)
+               for i, (dim, d, kind) in zip(range(n_configs), grid)]
     elapsed = time.perf_counter() - start
     worst = max(r.rel_error for r in results)
     return results, worst, elapsed

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .atomic import atomic_write
-from .errors import FormatError
+from .errors import FormatError, reading
 from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, orthonormality_residual
 from .model import ModelState, Prototype
 
@@ -74,10 +74,8 @@ def load_model(path) -> ModelState:
     violation raises :class:`FormatError`.
     """
     path = Path(path)
-    try:
+    with reading(path, "model file"):
         blob = path.read_bytes()
-    except OSError as exc:
-        raise FormatError(f"cannot read model file: {exc}", path=path) from exc
     if not blob.startswith(MAGIC):
         raise FormatError("not a model file (bad magic string)", path=path)
     offset = len(MAGIC)

@@ -59,13 +59,22 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
         raise DimensionError(
             f"subspace dimension {d} exceeds embedding dimension {dim}"
         )
-    left, sigma, _ = np.linalg.svd(distinct_columns(matrix), full_matrices=False)
-    if sigma[0] <= 0.0:
+    basis = _svd_basis(distinct_columns(matrix), d)
+    if basis.shape[1] == 0:
         raise DataError(f"document {matrix.doc_id!r}: zero word matrix")
-    rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
-    k = min(d, rank)
-    basis = sign_normalize_columns(left[:, :k])
     return Subspace(doc_id=matrix.doc_id, basis=basis)
+
+
+def _svd_basis(columns: np.ndarray, d: int) -> np.ndarray:
+    """Sign-normalized top-``min(d, rank)`` left singular vectors of ``columns``.
+
+    The rank counts the singular values above ``RANK_RTOL`` times the
+    largest, so a zero matrix gives a basis with no columns.  Document
+    subspaces and prototype initialization both take their bases from here.
+    """
+    left, sigma, _ = np.linalg.svd(columns, full_matrices=False)
+    rank = int(np.sum(sigma > RANK_RTOL * sigma[0]))
+    return sign_normalize_columns(left[:, : min(d, rank)])
 
 
 def distinct_columns(matrix: WordMatrix) -> np.ndarray:

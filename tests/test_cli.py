@@ -219,6 +219,16 @@ class TestConfigAndErrors:
         err = capsys.readouterr().err
         assert err.startswith("error: usage:") and "cosine" in err
 
+    def test_config_file_that_is_not_utf8_is_usage_error(self, tmp_path, capsys):
+        config = tmp_path / "run.conf"
+        config.write_bytes(b"seed = 1\n# caf\xe9\n")
+        out = tmp_path / "out"
+        code = main(["synth-data", "--config", str(config), "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: cannot read config file {config}: ")
+        assert not out.exists()   # the config is read before the run starts
+
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"
         config.write_text("nonsense = 1\n")
@@ -257,6 +267,27 @@ class TestDimensionMismatch:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: dimension:")
 
+    @pytest.mark.parametrize("command, extra", [
+        ("predict", []),
+        ("explain", []),
+        ("score-corpus", ["--positive-label", "topic_a"]),
+    ], ids=["predict", "explain", "score-corpus"])
+    def test_model_command_leaves_failed_manifest(self, command, extra, workspace, tmp_path,
+                                                  capsys):
+        bad = tmp_path / "bad_emb.txt"
+        bad.write_text("word 1.0 2.0 3.0\n")
+        out = tmp_path / "out"
+        code = main([command, "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(workspace["run"] / "test.jsonl"),
+                     "--embeddings", str(bad), "--out", str(out)] + extra)
+        assert code == 1
+        message = f"{bad}: embedding dimension 3 does not match expected 25"
+        assert capsys.readouterr().err == f"error: dimension: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": "dimension", "message": message}
+        assert manifest["outputs"] == []
+
 
 class TestFailedRuns:
     def test_format_error_finalizes_manifest_as_failed(self, workspace, tmp_path, capsys):
@@ -273,6 +304,21 @@ class TestFailedRuns:
         assert manifest["error"]["category"] == "format"
         assert "malformed float" in manifest["error"]["message"]
         assert "finished_at" in manifest
+
+    def test_corpus_that_is_not_utf8_is_a_format_error(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"case_id": "c1", "text": "caf\xe9"}\n')
+        out = tmp_path / "scored"
+        code = main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(corpus),
+                     "--embeddings", str(workspace["data"] / "embeddings.txt"),
+                     "--positive-label", "topic_a", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: format: {corpus}: not UTF-8 text: ")
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"]["category"] == "format"
+        assert manifest["outputs"] == []
 
     def test_interrupt_finalizes_manifest_and_propagates(self, workspace, tmp_path,
                                                          monkeypatch):
@@ -351,12 +397,16 @@ class TestPositiveIntFlags:
         ("sample", ["--per-band", "-1"], "", "--per-band -1"),
         ("sample", ["--per-band", "0"], "", "--per-band 0"),
         ("sample", [], "per_band = -3\n", "per_band = '-3'"),
+        ("synth-data", ["--dim", "0"], "", "--dim 0"),
+        ("synth-data", ["--docs-per-class", "0"], "", "--docs-per-class 0"),
+        ("synth-data", ["--docs-per-class", "-1"], "", "--docs-per-class -1"),
     ], ids=["explain-flag", "explain-config", "sample-flag-negative", "sample-flag-zero",
-            "sample-config"])
+            "sample-config", "synth-dim-zero", "synth-docs-zero", "synth-docs-negative"])
     def test_below_one_is_usage_error(self, command, argv, config, named, tmp_path, capsys):
         missing = str(tmp_path / "missing")   # reading any input would be a format error
         inputs = {"explain": ["--model", missing, "--corpus", missing, "--embeddings", missing],
-                  "sample": ["--scored", missing, "--bands", "0:50", "--seed", "1"]}
+                  "sample": ["--scored", missing, "--bands", "0:50", "--seed", "1"],
+                  "synth-data": ["--seed", "1"]}
         conf = tmp_path / "run.conf"
         conf.write_text(config)
         out = tmp_path / "out"
@@ -371,7 +421,7 @@ class TestPositiveIntFlags:
         assert manifest["error"]["category"] == "usage"
         assert manifest["outputs"] == []
         # every value but the rejected one stays on record
-        rejected = {"explain": "top_k", "sample": "per_band"}[command]
+        rejected = named.split()[0].lstrip("-").replace("-", "_")
         _, _, names = cli._COMMANDS[command]
         assert set(manifest["config"]) == set(names) - {rejected}
         assert manifest["config"]["out"] == str(out)

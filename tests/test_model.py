@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from subspace_lvq.errors import DataError, DegenerateSampleError
+from subspace_lvq.errors import DataError, DegenerateSampleError, DimensionError
 from subspace_lvq.geometry import (
     CHORDAL,
     GEODESIC,
@@ -147,6 +147,11 @@ class TestDistanceOp:
         proto = Prototype(basis=np.eye(3)[:, :2], label="a")
         with pytest.raises(DataError):
             distance(sub(np.eye(3)[:, :2]), proto, np.array([0.9, 0.3]), CHORDAL)
+
+    def test_ambient_dimension_mismatch_rejected(self):
+        proto = Prototype(basis=np.eye(3)[:, :2], label="a")
+        with pytest.raises(DimensionError, match="ambient dimensions differ: 4 vs 3"):
+            distance(sub(np.eye(4)[:, :2]), proto, np.array([0.5, 0.5]), CHORDAL)
 
 
 class TestInitPrototypes:
