@@ -88,12 +88,12 @@ _FLAGS = {
     "out": _Flag(str, None, "output directory"),
     "scored": _Flag(str, None, "scored-cases CSV (from score-corpus/rank)"),
     "annotations": _Flag(str, None, "annotation JSON-lines file"),
-    "d": _Flag(int, 50, "subspace dimension (default 50)"),
-    "beta": _Flag(float, 5.0, "sigmoid slope (default 5)"),
-    "distance": _Flag(str, "chordal", "distance kind", DISTANCE_KINDS),
-    "epochs": _Flag(int, 100, "training epochs (default 100)"),
-    "lr_w": _Flag(float, 0.05, "prototype learning rate"),
-    "lr_lambda": _Flag(float, 0.005, "relevance learning rate"),
+    "d": _Flag(int, 50, "subspace dimension"),
+    "beta": _Flag(float, TrainConfig.beta, "sigmoid slope"),
+    "distance": _Flag(str, TrainConfig.distance_kind, "distance kind", DISTANCE_KINDS),
+    "epochs": _Flag(int, TrainConfig.epochs, "training epochs"),
+    "lr_w": _Flag(float, TrainConfig.lr_prototype, "prototype learning rate"),
+    "lr_lambda": _Flag(float, TrainConfig.lr_relevance, "relevance learning rate"),
     "seed": _Flag(int, None, "random seed"),
     "train_fraction": _Flag(float, None, "train split fraction in (0,1)"),
     "positive_label": _Flag(str, None, "positive class label"),
@@ -101,7 +101,7 @@ _FLAGS = {
     "top_k": _Flag(_positive_int, 20, "words per explanation"),
     "bands": _Flag(str, None, "percentile bands, e.g. '87:88,88:89'"),
     "per_band": _Flag(_positive_int, 20, "samples per band"),
-    "per_class": _Flag(int, 1, "prototypes per class"),
+    "per_class": _Flag(int, TrainConfig.prototypes_per_class, "prototypes per class"),
     "target_precision": _Flag(float, None, "calibration target precision"),
     "docs_per_class": _Flag(_positive_int, 200, "synthetic documents per class"),
     "dim": _Flag(_positive_int, 50, "synthetic embedding dimension"),
@@ -213,7 +213,10 @@ class Run:
             "status": "running",
             "outputs": [],
         }
-        self.out.mkdir(parents=True, exist_ok=True)
+        try:
+            self.out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create output directory {self.out}: {exc}") from exc
         # One key at a time, so a rejected value leaves every other value on
         # record; the error message names the rejected one.
         error = None
@@ -437,8 +440,8 @@ def cmd_rank(opts: Options, run: Run) -> int:
 
 def cmd_sample(opts: Options, run: Run) -> int:
     seed = opts.get("seed", required=True)
-    scored = rank(read_scored(opts.get("scored", required=True)))
     bands = parse_bands(opts.get("bands", required=True))
+    scored = rank(read_scored(opts.get("scored", required=True)))
     sampled = sample_for_annotation(scored, bands, opts.get("per_band"), seed)
     path = run.csv("sample.csv", ["band_lo", "band_hi", "case_id"],
                    ([format(lo, "g"), format(hi, "g"), case_id]
@@ -449,9 +452,9 @@ def cmd_sample(opts: Options, run: Run) -> int:
 
 
 def cmd_calibrate(opts: Options, run: Run) -> int:
+    bands = parse_bands(opts.get("bands", required=True))
     scored = rank(read_scored(opts.get("scored", required=True)))
     annotations = read_annotations(opts.get("annotations", required=True))
-    bands = parse_bands(opts.get("bands", required=True))
     target = opts.get("target_precision")
     report = calibrate(scored, annotations, bands, target)
     path = run.json("calibration.json", {
@@ -537,11 +540,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key=value config file; flags override")
         for name in names:
             flag = _FLAGS[name]
+            tail = "" if flag.default is None else f" (default {flag.default})"
             # A positive-integer flag is only parsed here; Options.get rejects
             # a value below 1, so the run ends with a failed manifest.
             p.add_argument("--" + name.replace("_", "-"), dest=name,
                            type=int if flag.type is _positive_int else flag.type,
-                           choices=flag.choices, help=flag.help)
+                           choices=flag.choices, help=flag.help + tail)
     return parser
 
 

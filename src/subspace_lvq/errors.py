@@ -57,20 +57,18 @@ class DimensionError(ToolkitError):
     category = "dimension"
 
 
-class EmptyDocumentError(ToolkitError):
-    """A document has no in-vocabulary tokens left to embed."""
-
-    category = "data"
-
-    def __init__(self, doc_id, message=None):
-        super().__init__(message or f"document {doc_id!r} has no embeddable tokens")
-        self.doc_id = doc_id
-
-
 class DataError(ToolkitError):
     """Structurally invalid data: duplicate ids, empty classes, bad bands."""
 
     category = "data"
+
+
+class EmptyDocumentError(DataError):
+    """A document has nothing to reduce: no embeddable tokens, or only zero vectors."""
+
+    def __init__(self, doc_id, message=None):
+        super().__init__(message or f"document {doc_id!r} has no embeddable tokens")
+        self.doc_id = doc_id
 
 
 class NotOrthonormalError(ToolkitError):
@@ -97,10 +95,10 @@ class UsageError(ToolkitError):
     category = "usage"
 
 
-#: Per-record failures that batch pipelines skip and report (all-OOV or
-#: empty documents, zero matrices, degenerate scores); anything else, such
-#: as a dimension mismatch, aborts the whole run.
-PER_RECORD_ERRORS = (EmptyDocumentError, DataError, DegenerateSampleError)
+#: A document's own faults, which batch pipelines skip and report (all-OOV or
+#: empty documents, zero matrices, degenerate scores); anything else, such as
+#: a dimension mismatch or a run-level :class:`DataError`, aborts the run.
+PER_RECORD_ERRORS = (EmptyDocumentError, DegenerateSampleError)
 
 
 def map_records(records, fn) -> tuple[list, list[tuple[str, str]]]:

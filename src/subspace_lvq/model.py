@@ -53,8 +53,10 @@ class Prototype:
     label: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
+    """Training options and the CLI's defaults; one that breaks a rule cannot be built."""
+
     subspace_dim: int
     seed: int
     beta: float = 5.0
@@ -64,7 +66,7 @@ class TrainConfig:
     epochs: int = 100
     prototypes_per_class: int = 1
 
-    def validate(self):
+    def __post_init__(self):
         if self.subspace_dim < 1:
             raise DimensionError("subspace_dim must be positive")
         if self.beta <= 0:
@@ -271,8 +273,6 @@ def init_prototypes(
     prototypes = []
     for label in labels:
         idxs = [i for i, ex in enumerate(training) if ex.label == label]
-        if not idxs:
-            raise DataError(f"class {label!r} has no training examples")
         for _ in range(per_class):
             take = min(_INIT_SAMPLE_CAP, len(idxs))
             chosen = rng.choice(len(idxs), size=take, replace=False)
@@ -377,7 +377,6 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
     update (instrumentation for invariant checks); ``bases`` is the live
     ``(P, D, d)`` prototype stack, updated in place.
     """
-    config.validate()
     if not training:
         raise DataError("empty training set")
     labels = sorted({ex.label for ex in training})
@@ -388,8 +387,6 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
         raise DimensionError(f"inconsistent embedding dimensions in training set: {sorted(dims)}")
     dim = dims.pop()
     d = config.subspace_dim
-    if d > dim:
-        raise DimensionError(f"subspace dimension {d} exceeds embedding dimension {dim}")
 
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
     prototypes = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embedding import WordMatrix
-from .errors import DataError, DimensionError
+from .errors import DataError, DimensionError, EmptyDocumentError
 from .geometry import sign_normalize_columns
 
 # Singular values below this fraction of the largest are rank noise.
@@ -51,7 +51,7 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
     """
     cols = matrix.columns
     if cols.ndim != 2 or cols.shape[1] < 1:
-        raise DataError(f"document {matrix.doc_id!r}: empty word matrix")
+        raise EmptyDocumentError(matrix.doc_id, f"document {matrix.doc_id!r}: empty word matrix")
     dim = cols.shape[0]
     if d < 1:
         raise DimensionError(f"subspace dimension must be positive, got {d}")
@@ -61,7 +61,7 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
         )
     basis = _svd_basis(distinct_columns(matrix), d)
     if basis.shape[1] == 0:
-        raise DataError(f"document {matrix.doc_id!r}: zero word matrix")
+        raise EmptyDocumentError(matrix.doc_id, f"document {matrix.doc_id!r}: zero word matrix")
     return Subspace(doc_id=matrix.doc_id, basis=basis)
 
 

@@ -101,6 +101,25 @@ class TestScoringFlow:
         values = [s.score for s in scored]
         assert values == sorted(values, reverse=True)
 
+    def test_document_of_zero_vectors_is_skipped(self, workspace, tmp_path):
+        data = workspace["data"]
+        table = (data / "embeddings.txt").read_text()
+        dim = len(table.split("\n", 1)[0].split()) - 1
+        embeddings = tmp_path / "embeddings.txt"
+        embeddings.write_text(table + "nullword" + " 0.0" * dim + "\n")
+        corpus = tmp_path / "corpus.jsonl"
+        kept = (data / "corpus.jsonl").read_text().splitlines()[:3]
+        corpus.write_text("\n".join(kept) + "\n"
+                          + json.dumps({"case_id": "z1", "text": "nullword nullword"}) + "\n")
+        out = tmp_path / "scored"
+        assert main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(corpus), "--embeddings", str(embeddings),
+                     "--positive-label", "topic_a", "--out", str(out)]) == 0
+        with (out / "skipped.csv").open() as handle:
+            assert list(csv.reader(handle)) == [["case_id", "reason"],
+                                                ["z1", "document 'z1': zero word matrix"]]
+        assert len(read_scored(out / "scored.csv")) == 3
+
     def test_rank_three_case_file(self, tmp_path, capsys):
         path = tmp_path / "scored.csv"
         path.write_text(
@@ -320,6 +339,32 @@ class TestFailedRuns:
         assert manifest["error"]["category"] == "format"
         assert manifest["outputs"] == []
 
+    def test_out_that_names_a_file_is_usage_error(self, tmp_path, capsys):
+        scored = tmp_path / "scored.csv"
+        scored.write_text("case_id,score,percentile,predicted_label\nx,0.5,,p\n")
+        out = tmp_path / "outfile"
+        out.write_text("not a directory\n")
+        assert main(["rank", "--scored", str(scored), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: usage: cannot create output directory {out}: ")
+        assert out.read_text() == "not a directory\n"
+
+    @pytest.mark.parametrize("command, extra", [
+        ("sample", ["--seed", "1"]),
+        ("calibrate", ["--annotations", "missing.jsonl"]),   # never read
+    ])
+    def test_bad_band_is_reported_before_input_is_read(self, command, extra, tmp_path,
+                                                       capsys):
+        out = tmp_path / "out"
+        code = main([command, "--scored", str(tmp_path / "missing.csv"), "--bands", "5",
+                     "--out", str(out)] + extra)
+        assert code == 1
+        message = "band '5' is not of the form lo:hi"
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": "usage", "message": message}
+
     def test_interrupt_finalizes_manifest_and_propagates(self, workspace, tmp_path,
                                                          monkeypatch):
         def interrupted(*args, **kwargs):
@@ -427,6 +472,35 @@ class TestPositiveIntFlags:
         assert manifest["config"]["out"] == str(out)
 
 
+class TestTrainOptions:
+    """A bad training option ends the run before any input is read."""
+
+    @pytest.mark.parametrize("flag, value, category, message", [
+        ("--per-class", "0", "data", "prototypes_per_class must be positive"),
+        ("--beta", "0", "data", "beta must be positive"),
+        ("--lr-w", "0", "data", "prototype learning rate must be positive"),
+        ("--lr-lambda", "-1", "data", "relevance learning rate must be nonnegative"),
+        ("--epochs", "-1", "data", "epochs must be nonnegative"),
+        ("--d", "0", "dimension", "subspace_dim must be positive"),
+    ])
+    def test_rejected_with_missing_inputs(self, flag, value, category, message, tmp_path,
+                                          capsys):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        code = main(["train", "--embeddings", missing, "--corpus", missing, "--seed", "1",
+                     flag, value, "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {category}: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": category, "message": message}
+        assert manifest["outputs"] == []
+        _, _, names = cli._COMMANDS["train"]
+        assert set(manifest["config"]) == set(names)
+        assert manifest["config"][flag[2:].replace("-", "_")] == float(value)
+        assert manifest["config"]["corpus"] == missing
+
+
 class TestPositiveLabel:
     """An unknown positive label fails the whole run, not each record."""
 
@@ -527,6 +601,19 @@ class TestSubcommandFlags:
         out = tmp_path / "ranked"
         assert main(["rank", "--config", str(config), "--out", str(out)]) == 0
         assert self.config_of(out) == {"scored": str(path), "out": str(out)}
+
+
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_help_shows_every_default(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    _, _, names = cli._COMMANDS[command]
+    for name in names:
+        flag = cli._FLAGS[name]
+        if flag.default is not None:
+            assert f"{flag.help} (default {flag.default})" in text, name
 
 
 def readme_quickstart() -> list[list[str]]:

@@ -21,7 +21,7 @@ from subspace_lvq.corpus import (
     write_corpus,
     write_scored,
 )
-from subspace_lvq.errors import DataError, FormatError
+from subspace_lvq.errors import DataError, EmptyDocumentError, FormatError, map_records
 from subspace_lvq.model import score
 from subspace_lvq.corpus import prepare_document
 
@@ -305,6 +305,27 @@ class TestBatchScore(object):
                              trained.stoplist, "topic_a")
         assert sorted((s.case_id, s.score) for s in fwd) == \
             sorted((s.case_id, s.score) for s in rev)
+
+
+class TestMapRecords:
+    """Only a document's own fault skips a record; any other error ends the run."""
+
+    def test_document_fault_is_skipped(self):
+        def fn(rec):
+            if rec.case_id == "b":
+                raise EmptyDocumentError("b")
+            return rec.case_id
+
+        results, skipped = map_records([CaseRecord("a", "x"), CaseRecord("b", "y")], fn)
+        assert results == ["a"]
+        assert skipped == [("b", "document 'b' has no embeddable tokens")]
+
+    def test_plain_data_error_propagates(self):
+        def fn(rec):
+            raise DataError("run-level rule")
+
+        with pytest.raises(DataError, match="run-level rule"):
+            map_records([CaseRecord("a", "x"), CaseRecord("b", "y")], fn)
 
 
 class TestScoredFiles:

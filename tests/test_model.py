@@ -1,5 +1,6 @@
 """Learning core: cost, classification, training, scoring, baseline."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -197,6 +198,37 @@ class TestInitPrototypes:
     def test_empty_class_rejected(self):
         with pytest.raises(DataError):
             init_prototypes([], per_class=1, d=2, seed=0)
+
+
+class TestTrainConfig:
+    """A config that breaks a training rule cannot be built or mutated."""
+
+    @pytest.mark.parametrize("field, value, error, message", [
+        ("subspace_dim", 0, DimensionError, "subspace_dim must be positive"),
+        ("beta", 0.0, DataError, "beta must be positive"),
+        ("beta", -1.0, DataError, "beta must be positive"),
+        ("distance_kind", "cosine", DataError, "unknown distance kind 'cosine'"),
+        ("lr_prototype", 0.0, DataError, "prototype learning rate must be positive"),
+        ("lr_relevance", -0.5, DataError, "relevance learning rate must be nonnegative"),
+        ("epochs", -1, DataError, "epochs must be nonnegative"),
+        ("prototypes_per_class", 0, DataError, "prototypes_per_class must be positive"),
+    ])
+    def test_broken_rule_cannot_be_constructed(self, field, value, error, message):
+        valid = TrainConfig(subspace_dim=3, seed=0)
+        with pytest.raises(error) as err:
+            TrainConfig(**{**dataclasses.asdict(valid), field: value})
+        assert str(err.value) == message
+        with pytest.raises(error, match=message):
+            dataclasses.replace(valid, **{field: value})
+
+    def test_boundary_values_are_valid(self):
+        TrainConfig(subspace_dim=1, seed=0, lr_relevance=0.0, epochs=0)
+
+    def test_valid_config_is_immutable(self):
+        config = TrainConfig(subspace_dim=3, seed=0)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            config.beta = -1.0
+        assert config.beta == 5.0
 
 
 def separable_toy(d=3):
