@@ -7,9 +7,9 @@ annotation sampling, calibration, and an analytic-gradient self check.
 Each subcommand accepts only the flags it reads (``_COMMANDS``).  Options
 may also come from a flat ``key = value`` config file (``--config``), which
 may set any known option; explicit flags win over file values.  :func:`main`
-runs each command inside one :class:`Run`, which owns the ``--out``
-directory and its run manifest.  Logs go to stderr; data goes to stdout or
-files, never interleaved.
+checks every option (:class:`Options`), then runs the command inside one
+:class:`Run`, which owns the ``--out`` directory and its run manifest.  Logs
+go to stderr; data goes to stdout or files, never interleaved.
 """
 
 from __future__ import annotations
@@ -17,18 +17,21 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .corpus import (
     batch_score,
     calibrate,
+    check_train_fraction,
     corpus_to_subspaces,
     count_above,
     ingest,
+    parse_bands,
     prepare_document,
     rank,
     read_annotations,
@@ -58,28 +61,31 @@ log = logging.getLogger("subspace_lvq.cli")
 
 GRAD_CHECK_TOLERANCE = 1e-5
 
-# Commands whose ``--out`` is optional: without it they print to stdout.
-_OUT_OPTIONAL = ("evaluate", "predict", "rank")
-
 
 class _Flag(NamedTuple):
     type: type
     default: object
     help: str
     choices: tuple | None = None
+    check: Callable | None = None   # typed value -> value used; ValueError if it breaks the rule
 
 
-def _positive_int(text) -> int:
-    """An integer option's value that must be at least 1."""
-    value = int(text)
+def _positive_int(value: int) -> int:
     if value < 1:
         raise ValueError("must be a positive integer")
     return value
 
 
+def _unit_interval(value: float) -> float:
+    if not 0.0 <= value <= 1.0:
+        raise ValueError("must be in [0, 1]")
+    return value
+
+
 # Every option: ``--name`` on the command line (``_`` spelled ``-``) and
 # ``name`` in a config file.  A subcommand accepts the flags in its
-# ``_COMMANDS`` entry; a config file may set any of them.
+# ``_COMMANDS`` entry; a config file may set any of them.  A ``float`` value
+# must also be finite.
 _FLAGS = {
     "embeddings": _Flag(str, None, "embedding file (word + floats per line)"),
     "stopwords": _Flag(str, None, "stop-word file (default: packaged English list)"),
@@ -95,16 +101,18 @@ _FLAGS = {
     "lr_w": _Flag(float, TrainConfig.lr_prototype, "prototype learning rate"),
     "lr_lambda": _Flag(float, TrainConfig.lr_relevance, "relevance learning rate"),
     "seed": _Flag(int, None, "random seed"),
-    "train_fraction": _Flag(float, None, "train split fraction in (0,1)"),
+    "train_fraction": _Flag(float, None, "train split fraction in (0,1)",
+                            check=check_train_fraction),
     "positive_label": _Flag(str, None, "positive class label"),
     "threshold": _Flag(float, None, "score threshold"),
-    "top_k": _Flag(_positive_int, 20, "words per explanation"),
-    "bands": _Flag(str, None, "percentile bands, e.g. '87:88,88:89'"),
-    "per_band": _Flag(_positive_int, 20, "samples per band"),
+    "top_k": _Flag(int, 20, "words per explanation", check=_positive_int),
+    "bands": _Flag(str, None, "percentile bands, e.g. '87:88,88:89'", check=parse_bands),
+    "per_band": _Flag(int, 20, "samples per band", check=_positive_int),
     "per_class": _Flag(int, TrainConfig.prototypes_per_class, "prototypes per class"),
-    "target_precision": _Flag(float, None, "calibration target precision"),
-    "docs_per_class": _Flag(_positive_int, 200, "synthetic documents per class"),
-    "dim": _Flag(_positive_int, 50, "synthetic embedding dimension"),
+    "target_precision": _Flag(float, None, "calibration target precision",
+                              check=_unit_interval),
+    "docs_per_class": _Flag(int, 200, "synthetic documents per class", check=_positive_int),
+    "dim": _Flag(int, 50, "synthetic embedding dimension", check=_positive_int),
 }
 
 
@@ -129,54 +137,47 @@ def read_config_file(path) -> dict[str, str]:
     return values
 
 
+def _resolve(name: str, value, text: str | None):
+    """One option: the flag's ``value`` (typed by argparse), else the config
+    file's ``text``, else the default; then its choices, finiteness and rule."""
+    flag = _FLAGS[name]
+    shown, source = value, "--" + name.replace("_", "-")
+    if value is None and text is not None:
+        shown, source = text, f"config value {name} ="
+    if shown is None:
+        return flag.default
+    try:
+        if value is None:
+            value = flag.type(text)
+        if flag.choices is not None and value not in flag.choices:
+            raise ValueError(f"must be one of {'/'.join(flag.choices)}")
+        if flag.type is float and not math.isfinite(value):
+            raise ValueError("must be a finite number")
+        return value if flag.check is None else flag.check(value)
+    except ValueError as exc:
+        raise UsageError(f"{source} {shown!r}: {exc}") from exc
+
+
 class Options:
-    """Merged view of flags, config file and defaults; flags win."""
+    """Each option of a command, resolved once: ``values`` (None if unset, a
+    rejected one left out) and ``error``, the first rejected or missing one."""
 
     def __init__(self, args: argparse.Namespace):
-        self._args = vars(args)
+        _, _, names, required = _COMMANDS[args.command]
+        file = read_config_file(args.config) if args.config else {}
         self.command = args.command
-        config_path = self._args.get("config")
-        self._file = read_config_file(config_path) if config_path else {}
-
-    def get(self, name, default=None, required=False):
-        flag = _FLAGS[name]
-        value, source = self._args.get(name), "--" + name.replace("_", "-")
-        if value is None and name in self._file:
-            value, source = self._file[name], f"config value {name} ="
-        if value is not None:
-            # A no-op on a flag value argparse has already converted, except
-            # that it applies _positive_int's range check (see build_parser).
+        self.values = {}
+        self.error = None
+        for name in names:
             try:
-                value = flag.type(value)
-            except ValueError as exc:
-                raise UsageError(f"{source} {value!r}: {exc}") from exc
-            if flag.choices is not None and value not in flag.choices:
-                raise UsageError(f"{source} {value!r}: must be one of "
-                                 f"{'/'.join(flag.choices)}")
-        if value is None:
-            value = default if flag.default is None else flag.default
-        if value is None and required:
-            raise UsageError(f"missing required option --{name.replace('_', '-')}")
-        return value
+                self.values[name] = _resolve(name, getattr(args, name), file.get(name))
+                if self.values[name] is None and name in required:
+                    raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            except ToolkitError as exc:
+                self.error = self.error or exc
 
-
-def parse_bands(text: str) -> list[tuple[float, float]]:
-    """Comma-separated half-open percentile ranges, e.g. '87:88,88:89'."""
-    bands = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise UsageError(f"band {part!r} is not of the form lo:hi")
-        try:
-            bands.append((float(pieces[0]), float(pieces[1])))
-        except ValueError as exc:
-            raise UsageError(f"band {part!r}: {exc}") from exc
-    if not bands:
-        raise UsageError("no percentile bands given")
-    return bands
+    def get(self, name, default=None):
+        return default if self.values[name] is None else self.values[name]
 
 
 def _utcnow() -> str:
@@ -191,44 +192,32 @@ class Run:
     """One command's output directory and manifest; :func:`main` starts and ends it.
 
     With ``--out`` the directory is created and the manifest written, with
-    status "running" and a snapshot of the command's flags, before the
-    command reads any input.  Commands only name their outputs and set
-    extra manifest fields.  Without ``--out`` (allowed for ``evaluate``,
-    ``predict`` and ``rank``) there is no manifest and :meth:`write` sends
-    the data to stdout.
+    status "running" and the command's resolved options, before the command
+    reads any input; an option error then ends it as failed.  Commands only
+    name their outputs and set extra manifest fields.  Without ``--out``
+    (where the command does not require it) there is no manifest and
+    :meth:`write` sends the data to stdout.
     """
 
     def __init__(self, opts: Options):
-        _, _, names = _COMMANDS[opts.command]
-        out = None
-        if "out" in names:
-            out = opts.get("out", required=opts.command not in _OUT_OPTIONAL)
+        out = opts.values.get("out")
         self.out = None if out is None else Path(out)
-        if self.out is None:
-            return
-        self.manifest = {
-            "command": opts.command,
-            "config": {},
-            "started_at": _utcnow(),
-            "status": "running",
-            "outputs": [],
-        }
-        try:
-            self.out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise UsageError(f"cannot create output directory {self.out}: {exc}") from exc
-        # One key at a time, so a rejected value leaves every other value on
-        # record; the error message names the rejected one.
-        error = None
-        for name in names:
+        if self.out is not None:
+            self.manifest = {
+                "command": opts.command,
+                "config": dict(opts.values),
+                "started_at": _utcnow(),
+                "status": "running",
+                "outputs": [],
+            }
             try:
-                self.manifest["config"][name] = opts.get(name)
-            except UsageError as exc:
-                error = error or exc
-        if error is not None:
-            self.end(error)
-            raise error
-        _write_json(self.manifest, self.out / "manifest.json")
+                self.out.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise UsageError(f"cannot create output directory {self.out}: {exc}") from exc
+            _write_json(self.manifest, self.out / "manifest.json")
+        if opts.error is not None:
+            self.end(opts.error)
+            raise opts.error
 
     def set(self, **fields) -> None:
         """Extra manifest fields, such as counts and checksums."""
@@ -277,11 +266,10 @@ class Run:
 
 def _model_inputs(opts):
     """Model, embedding table, stop words and corpus of a command that applies a model."""
-    model = load_model(opts.get("model", required=True))
-    table = load_embeddings(opts.get("embeddings", required=True),
-                            expected_dim=model.embedding_dim)
+    model = load_model(opts.get("model"))
+    table = load_embeddings(opts.get("embeddings"), expected_dim=model.embedding_dim)
     stoplist = load_stopwords(opts.get("stopwords"))
-    return model, table, stoplist, ingest(opts.get("corpus", required=True))
+    return model, table, stoplist, ingest(opts.get("corpus"))
 
 
 # ---------------------------------------------------------------------------
@@ -292,7 +280,7 @@ def cmd_synth_data(opts: Options, run: Run) -> int:
     corpus = generate_synthetic(
         docs_per_class=opts.get("docs_per_class"),
         dim=opts.get("dim"),
-        seed=opts.get("seed", required=True),
+        seed=opts.get("seed"),
     )
     paths = write_synthetic(corpus, run.out)
     for path in paths.values():
@@ -305,7 +293,7 @@ def cmd_synth_data(opts: Options, run: Run) -> int:
 def _train_config(opts) -> TrainConfig:
     return TrainConfig(
         subspace_dim=opts.get("d"),
-        seed=opts.get("seed", required=True),
+        seed=opts.get("seed"),
         beta=opts.get("beta"),
         distance_kind=opts.get("distance"),
         lr_prototype=opts.get("lr_w"),
@@ -317,14 +305,14 @@ def _train_config(opts) -> TrainConfig:
 
 def cmd_train(opts: Options, run: Run) -> int:
     config = _train_config(opts)
-    table = load_embeddings(opts.get("embeddings", required=True))
+    table = load_embeddings(opts.get("embeddings"))
     stoplist = load_stopwords(opts.get("stopwords"))
     if config.subspace_dim > table.dim:
         raise DimensionError(
             f"subspace dimension {config.subspace_dim} exceeds embedding "
             f"dimension {table.dim}"
         )
-    records = ingest(opts.get("corpus", required=True))
+    records = ingest(opts.get("corpus"))
 
     fraction = opts.get("train_fraction")
     train_records, test_records = records, None
@@ -415,9 +403,8 @@ def cmd_explain(opts: Options, run: Run) -> int:
 
 
 def cmd_score_corpus(opts: Options, run: Run) -> int:
-    positive = opts.get("positive_label", required=True)
     state, table, stoplist, records = _model_inputs(opts)
-    scored, skipped = batch_score(records, state, table, stoplist, positive)
+    scored, skipped = batch_score(records, state, table, stoplist, opts.get("positive_label"))
     ranked = rank(scored)
     path = run.write("scored.csv", write_scored, ranked)
     if skipped:
@@ -431,7 +418,7 @@ def cmd_score_corpus(opts: Options, run: Run) -> int:
 
 
 def cmd_rank(opts: Options, run: Run) -> int:
-    ranked = rank(read_scored(opts.get("scored", required=True)))
+    ranked = rank(read_scored(opts.get("scored")))
     path = run.write("ranked.csv", write_scored, ranked)
     if path is not None:
         print(f"ranked {path}")
@@ -439,10 +426,9 @@ def cmd_rank(opts: Options, run: Run) -> int:
 
 
 def cmd_sample(opts: Options, run: Run) -> int:
-    seed = opts.get("seed", required=True)
-    bands = parse_bands(opts.get("bands", required=True))
-    scored = rank(read_scored(opts.get("scored", required=True)))
-    sampled = sample_for_annotation(scored, bands, opts.get("per_band"), seed)
+    scored = rank(read_scored(opts.get("scored")))
+    sampled = sample_for_annotation(scored, opts.get("bands"), opts.get("per_band"),
+                                    opts.get("seed"))
     path = run.csv("sample.csv", ["band_lo", "band_hi", "case_id"],
                    ([format(lo, "g"), format(hi, "g"), case_id]
                     for (lo, hi), ids in sampled.items() for case_id in ids))
@@ -452,11 +438,10 @@ def cmd_sample(opts: Options, run: Run) -> int:
 
 
 def cmd_calibrate(opts: Options, run: Run) -> int:
-    bands = parse_bands(opts.get("bands", required=True))
-    scored = rank(read_scored(opts.get("scored", required=True)))
-    annotations = read_annotations(opts.get("annotations", required=True))
+    scored = rank(read_scored(opts.get("scored")))
+    annotations = read_annotations(opts.get("annotations"))
     target = opts.get("target_precision")
-    report = calibrate(scored, annotations, bands, target)
+    report = calibrate(scored, annotations, opts.get("bands"), target)
     path = run.json("calibration.json", {
         "target_precision": report.target_precision,
         "threshold_score": report.threshold_score,
@@ -501,29 +486,33 @@ def cmd_grad_check(opts: Options, run: Run) -> int:
 # Parser
 # ---------------------------------------------------------------------------
 
-# name -> (function, help, flags it accepts; also its manifest config snapshot)
+_APPLY = ("model", "corpus", "embeddings")   # inputs of a command that applies a model
+
+# name -> (function, help, flags it accepts (its manifest config), flags it requires)
 _COMMANDS = {
     "synth-data": (cmd_synth_data, "generate the synthetic two-class corpus",
-                   ("seed", "docs_per_class", "dim", "out")),
+                   ("seed", "docs_per_class", "dim", "out"), ("seed", "out")),
     "train": (cmd_train, "train a classifier on a labeled corpus",
               ("embeddings", "stopwords", "corpus", "out", "d", "beta", "distance", "epochs",
-               "lr_w", "lr_lambda", "per_class", "seed", "train_fraction")),
+               "lr_w", "lr_lambda", "per_class", "seed", "train_fraction"),
+              ("embeddings", "corpus", "seed", "out")),
     "evaluate": (cmd_evaluate, "accuracy and per-class metrics on a labeled corpus",
-                 ("model", "corpus", "embeddings", "stopwords", "out")),
+                 _APPLY + ("stopwords", "out"), _APPLY),
     "predict": (cmd_predict, "nearest-prototype labels for a corpus",
-                ("model", "corpus", "embeddings", "stopwords", "out")),
+                _APPLY + ("stopwords", "out"), _APPLY),
     "explain": (cmd_explain, "per-word impact reports for a corpus",
-                ("model", "corpus", "embeddings", "stopwords", "top_k", "positive_label", "out")),
+                _APPLY + ("stopwords", "top_k", "positive_label", "out"), _APPLY + ("out",)),
     "score-corpus": (cmd_score_corpus, "probability-score and rank a corpus",
-                     ("model", "corpus", "embeddings", "stopwords", "positive_label",
-                      "threshold", "out")),
-    "rank": (cmd_rank, "sort a scored file and fill percentiles", ("scored", "out")),
+                     _APPLY + ("stopwords", "positive_label", "threshold", "out"),
+                     _APPLY + ("positive_label", "out")),
+    "rank": (cmd_rank, "sort a scored file and fill percentiles", ("scored", "out"), ("scored",)),
     "calibrate": (cmd_calibrate, "per-band positive fractions from annotations",
-                  ("scored", "annotations", "bands", "target_precision", "out")),
+                  ("scored", "annotations", "bands", "target_precision", "out"),
+                  ("scored", "annotations", "bands", "out")),
     "sample": (cmd_sample, "sample cases per percentile band for annotation",
-               ("scored", "bands", "per_band", "seed", "out")),
+               ("scored", "bands", "per_band", "seed", "out"), ("scored", "bands", "seed", "out")),
     "grad-check": (cmd_grad_check, "verify analytic gradients against finite differences",
-                   ("seed",)),
+                   ("seed",), ()),
 }
 
 
@@ -534,17 +523,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (func, help_text, names) in _COMMANDS.items():
+    for command, (func, help_text, names, required) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
         p.add_argument("--config", help="flat key=value config file; flags override")
         for name in names:
             flag = _FLAGS[name]
-            tail = "" if flag.default is None else f" (default {flag.default})"
-            # A positive-integer flag is only parsed here; Options.get rejects
-            # a value below 1, so the run ends with a failed manifest.
-            p.add_argument("--" + name.replace("_", "-"), dest=name,
-                           type=int if flag.type is _positive_int else flag.type,
+            tail = (" (required)" if name in required
+                    else "" if flag.default is None else f" (default {flag.default})")
+            # argparse applies only the type; Options applies the rest (_resolve).
+            p.add_argument("--" + name.replace("_", "-"), dest=name, type=flag.type,
                            choices=flag.choices, help=flag.help + tail)
     return parser
 

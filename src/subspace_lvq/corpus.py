@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import EmbeddingTable, PreprocessedDoc, WordMatrix, embed, preprocess
-from .errors import DataError, DimensionError, EmptyDocumentError, FormatError, map_records, reading
+from .errors import (DataError, DimensionError, EmptyDocumentError, FormatError, UsageError,
+                     map_records, reading)
 from .model import ModelState, _positive_probability, check_positive_label, classify
 from .subspace import LabeledSubspace, Subspace, compute_subspace
 
@@ -127,6 +128,13 @@ def write_corpus(records: list[CaseRecord], path) -> None:
             handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 
+def check_train_fraction(train_fraction: float) -> float:
+    """The fraction of records :func:`split` puts in the train set; it lies in (0, 1)."""
+    if not 0.0 < train_fraction < 1.0:
+        raise DataError(f"train fraction must be in (0, 1), got {train_fraction}")
+    return train_fraction
+
+
 def split(records: list[CaseRecord], train_fraction: float, seed) -> tuple[list[CaseRecord], list[CaseRecord]]:
     """Seeded stratified split.
 
@@ -134,8 +142,7 @@ def split(records: list[CaseRecord], train_fraction: float, seed) -> tuple[list[
     class by largest remainder, so every class stays within one record of
     its exact proportional share.
     """
-    if not 0.0 < train_fraction < 1.0:
-        raise DataError(f"train fraction must be in (0, 1), got {train_fraction}")
+    check_train_fraction(train_fraction)
     unlabeled = [r.case_id for r in records if r.label is None]
     if unlabeled:
         raise DataError(f"{len(unlabeled)} records lack labels (first: {unlabeled[0]!r})")
@@ -253,6 +260,24 @@ def _check_bands(bands):
     for (lo1, hi1), (lo2, hi2) in zip(ordered, ordered[1:]):
         if hi1 > lo2:
             raise DataError(f"overlapping bands [{lo1}, {hi1}) and [{lo2}, {hi2})")
+
+
+def parse_bands(text: str) -> list[tuple[float, float]]:
+    """Comma-separated half-open percentile ranges, e.g. '87:88,88:89', that pass
+    :func:`_check_bands`."""
+    bands = []
+    for part in filter(None, (piece.strip() for piece in text.split(","))):
+        pieces = part.split(":")
+        if len(pieces) != 2:
+            raise UsageError(f"band {part!r} is not of the form lo:hi")
+        try:
+            bands.append((float(pieces[0]), float(pieces[1])))
+        except ValueError as exc:
+            raise UsageError(f"band {part!r}: {exc}") from exc
+    if not bands:
+        raise UsageError("no percentile bands given")
+    _check_bands(bands)
+    return bands
 
 
 def sample_for_annotation(

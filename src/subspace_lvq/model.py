@@ -67,15 +67,16 @@ class TrainConfig:
     prototypes_per_class: int = 1
 
     def __post_init__(self):
+        # The float rules are tested as "not inside", so NaN fails them too.
         if self.subspace_dim < 1:
             raise DimensionError("subspace_dim must be positive")
-        if self.beta <= 0:
+        if not self.beta > 0:
             raise DataError("beta must be positive")
         if self.distance_kind not in DISTANCE_KINDS:
             raise DataError(f"unknown distance kind {self.distance_kind!r}")
-        if self.lr_prototype <= 0:
+        if not self.lr_prototype > 0:
             raise DataError("prototype learning rate must be positive")
-        if self.lr_relevance < 0:
+        if not self.lr_relevance >= 0:
             raise DataError("relevance learning rate must be nonnegative")
         if self.epochs < 0:
             raise DataError("epochs must be nonnegative")

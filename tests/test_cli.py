@@ -405,7 +405,7 @@ class TestFailedRuns:
     }
 
     def test_every_command_with_out_is_covered(self):
-        takes_out = [c for c, (_, _, names) in cli._COMMANDS.items() if "out" in names]
+        takes_out = [c for c, entry in cli._COMMANDS.items() if "out" in entry[2]]
         assert sorted(self.FAILING) == sorted(takes_out)
 
     @pytest.mark.parametrize("command", sorted(FAILING))
@@ -467,7 +467,7 @@ class TestPositiveIntFlags:
         assert manifest["outputs"] == []
         # every value but the rejected one stays on record
         rejected = named.split()[0].lstrip("-").replace("-", "_")
-        _, _, names = cli._COMMANDS[command]
+        names = cli._COMMANDS[command][2]
         assert set(manifest["config"]) == set(names) - {rejected}
         assert manifest["config"]["out"] == str(out)
 
@@ -495,7 +495,7 @@ class TestTrainOptions:
         assert manifest["status"] == "failed"
         assert manifest["error"] == {"category": category, "message": message}
         assert manifest["outputs"] == []
-        _, _, names = cli._COMMANDS["train"]
+        names = cli._COMMANDS["train"][2]
         assert set(manifest["config"]) == set(names)
         assert manifest["config"][flag[2:].replace("-", "_")] == float(value)
         assert manifest["config"]["corpus"] == missing
@@ -609,11 +609,113 @@ def test_help_shows_every_default(command, capsys):
         main([command, "--help"])
     assert exc.value.code == 0
     text = " ".join(capsys.readouterr().out.split())
-    _, _, names = cli._COMMANDS[command]
+    names = cli._COMMANDS[command][2]
     for name in names:
         flag = cli._FLAGS[name]
         if flag.default is not None:
             assert f"{flag.help} (default {flag.default})" in text, name
+    for name in cli._COMMANDS[command][3]:
+        assert f"{cli._FLAGS[name].help} (required)" in text, name
+
+
+class TestOptionsResolvedFirst:
+    """Every option is resolved and checked before any input is read.
+
+    The embedding table given is real and every other input path is
+    missing, so reading any input would fail with a different error, and
+    loading the table would write its ``.slvq-cache``.
+    """
+
+    VALUES = {"seed": "1", "positive_label": "topic_a", "bands": "0:50"}
+    REQUIRED = [(command, name) for command, entry in sorted(cli._COMMANDS.items())
+                for name in entry[3]]
+
+    def argv(self, command, tmp_path, omit=None):
+        table = tmp_path / "table.txt"
+        table.write_text("alpha 1.0 0.0\nbeta 0.0 1.0\n")
+        values = {**self.VALUES, "embeddings": str(table), "out": str(tmp_path / "out")}
+        _, _, names, required = cli._COMMANDS[command]
+        argv = [command]
+        for name in [n for n in names if n in required or n == "out"]:
+            if name != omit:
+                argv += ["--" + name.replace("_", "-"),
+                         values.get(name, str(tmp_path / f"missing-{name}"))]
+        return argv
+
+    def assert_failed_early(self, tmp_path, capsys, category, message):
+        assert capsys.readouterr().err == f"error: {category}: {message}\n"
+        assert not list(tmp_path.glob("*.slvq-cache"))
+        out = tmp_path / "out"
+        if not out.exists():
+            return None
+        manifest = json.loads((out / "manifest.json").read_text(),
+                              parse_constant=lambda name: pytest.fail(name))
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": category, "message": message}
+        assert manifest["outputs"] == []
+        return manifest["config"]
+
+    def test_table_is_consistent(self):
+        for command, entry in cli._COMMANDS.items():
+            assert len(entry) == 4, command
+            _, _, names, required = entry
+            assert set(required) <= set(names), command
+            for name in required:
+                assert cli._FLAGS[name].default is None, (command, name)
+
+    @pytest.mark.parametrize("command, missing", REQUIRED,
+                             ids=[f"{c}-{n}" for c, n in REQUIRED])
+    def test_missing_required_flag(self, command, missing, tmp_path, capsys):
+        assert main(self.argv(command, tmp_path, omit=missing)) == 1
+        flag = "--" + missing.replace("_", "-")
+        config = self.assert_failed_early(tmp_path, capsys, "usage",
+                                          f"missing required option {flag}")
+        if missing == "out":
+            assert config is None
+        else:
+            assert config[missing] is None
+            assert set(config) == set(cli._COMMANDS[command][2])
+
+    @pytest.mark.parametrize("command, argv, category, message", [
+        ("train", ["--train-fraction", "1.5"], "data",
+         "train fraction must be in (0, 1), got 1.5"),
+        ("sample", ["--bands", "50:40"], "data", "invalid percentile band [50.0, 40.0)"),
+        ("calibrate", ["--bands", "0:50,40:60"], "data",
+         "overlapping bands [0.0, 50.0) and [40.0, 60.0)"),
+        ("calibrate", ["--target-precision", "7"], "usage",
+         "--target-precision 7.0: must be in [0, 1]"),
+    ], ids=["train-fraction", "inverted-band", "overlapping-bands", "target-precision"])
+    def test_rule_of_a_value(self, command, argv, category, message, tmp_path, capsys):
+        assert main(self.argv(command, tmp_path) + argv) == 1
+        config = self.assert_failed_early(tmp_path, capsys, category, message)
+        rejected = argv[0][2:].replace("-", "_")
+        assert set(config) == set(cli._COMMANDS[command][2]) - {rejected}
+
+    @pytest.mark.parametrize("command, flag", [
+        ("train", "--beta"), ("train", "--lr-w"), ("train", "--lr-lambda"),
+        ("train", "--train-fraction"), ("score-corpus", "--threshold"),
+        ("calibrate", "--target-precision"),
+    ])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag(self, command, flag, value, tmp_path, capsys):
+        assert main(self.argv(command, tmp_path) + [f"{flag}={value}"]) == 1
+        config = self.assert_failed_early(tmp_path, capsys, "usage",
+                                          f"{flag} {float(value)!r}: must be a finite number")
+        assert set(config) == set(cli._COMMANDS[command][2]) - {flag[2:].replace("-", "_")}
+
+    def test_non_finite_config_value(self, tmp_path, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("beta = nan\n")
+        assert main(self.argv("train", tmp_path) + ["--config", str(conf)]) == 1
+        self.assert_failed_early(tmp_path, capsys, "usage",
+                                 "config value beta = 'nan': must be a finite number")
+
+    def test_manifest_records_parsed_bands(self, tmp_path, capsys):
+        assert main(self.argv("sample", tmp_path) + ["--bands", "80:100, 0:20"]) == 1
+        message = f"{tmp_path / 'missing-scored'}: cannot read scored file: "
+        assert capsys.readouterr().err.startswith(f"error: format: {message}")
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["config"]["bands"] == [[80.0, 100.0], [0.0, 20.0]]
 
 
 def readme_quickstart() -> list[list[str]]:

@@ -23,7 +23,7 @@ from subspace_lvq.corpus import (
 )
 from subspace_lvq.errors import DataError, EmptyDocumentError, FormatError, map_records
 from subspace_lvq.model import score
-from subspace_lvq.corpus import prepare_document
+from subspace_lvq.corpus import check_train_fraction, parse_bands, prepare_document
 
 
 class TestIngest:
@@ -217,6 +217,32 @@ class TestSampling:
         ranked = self.ranked_cases()
         with pytest.raises(DataError):
             sample_for_annotation(ranked, [(10.0, 30.0), (20.0, 40.0)], per_band=1, seed=0)
+
+
+class TestOptionRules:
+    """The band and train-fraction rules that the CLI applies to its options."""
+
+    def test_parse_bands_keeps_order(self):
+        assert parse_bands(" 80:100, 0:20 ") == [(80.0, 100.0), (0.0, 20.0)]
+
+    @pytest.mark.parametrize("text, message", [
+        ("50:40", "invalid percentile band [50.0, 40.0)"),
+        ("0:101", "invalid percentile band [0.0, 101.0)"),
+        ("nan:5", "invalid percentile band [nan, 5.0)"),
+        ("10:30,20:40", "overlapping bands [10.0, 30.0) and [20.0, 40.0)"),
+    ])
+    def test_parse_bands_checks_every_band(self, text, message):
+        with pytest.raises(DataError) as err:
+            parse_bands(text)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1, float("nan")])
+    def test_train_fraction_outside_open_unit_interval(self, fraction):
+        with pytest.raises(DataError, match=r"train fraction must be in \(0, 1\)"):
+            check_train_fraction(fraction)
+        records = [CaseRecord(f"c{i}", "text", label="ab"[i % 2]) for i in range(4)]
+        with pytest.raises(DataError, match=r"train fraction must be in \(0, 1\)"):
+            split(records, fraction, seed=0)
 
 
 class TestCalibrate:

@@ -221,6 +221,16 @@ class TestTrainConfig:
         with pytest.raises(error, match=message):
             dataclasses.replace(valid, **{field: value})
 
+    @pytest.mark.parametrize("field, message", [
+        ("beta", "beta must be positive"),
+        ("lr_prototype", "prototype learning rate must be positive"),
+        ("lr_relevance", "relevance learning rate must be nonnegative"),
+    ])
+    def test_nan_breaks_float_rules(self, field, message):
+        with pytest.raises(DataError) as err:
+            TrainConfig(subspace_dim=3, seed=0, **{field: math.nan})
+        assert str(err.value) == message
+
     def test_boundary_values_are_valid(self):
         TrainConfig(subspace_dim=1, seed=0, lr_relevance=0.0, epochs=0)
 
