@@ -76,6 +76,12 @@ def _positive_int(value: int) -> int:
     return value
 
 
+def _non_negative_int(value: int) -> int:
+    if value < 0:
+        raise ValueError("must be a non-negative integer")
+    return value
+
+
 def _unit_interval(value: float) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError("must be in [0, 1]")
@@ -100,7 +106,7 @@ _FLAGS = {
     "epochs": _Flag(int, TrainConfig.epochs, "training epochs"),
     "lr_w": _Flag(float, TrainConfig.lr_prototype, "prototype learning rate"),
     "lr_lambda": _Flag(float, TrainConfig.lr_relevance, "relevance learning rate"),
-    "seed": _Flag(int, None, "random seed"),
+    "seed": _Flag(int, None, "random seed", check=_non_negative_int),
     "train_fraction": _Flag(float, None, "train split fraction in (0,1)",
                             check=check_train_fraction),
     "positive_label": _Flag(str, None, "positive class label"),

@@ -312,9 +312,12 @@ def calibrate(
 
     Only annotated members contribute to a band's fraction; a band without
     annotated members reports ``None`` rather than 0.  With a target
-    precision, the threshold is the lowest band score boundary whose band
-    fraction meets the target (``None`` when no band qualifies).  Fractions
-    are reported as observed; monotonicity is not enforced.
+    precision, the bands are walked from the highest scores down, and the
+    run of bands whose fraction meets the target ends at the first band
+    that does not, or that has no annotations.  The threshold is the
+    lowest ``score_low`` of that run (``None`` when the highest band does
+    not qualify), so a qualifying band below a failing one never lowers it.
+    Fractions are reported as observed; monotonicity is not enforced.
     """
     if any(s.percentile is None for s in scored):
         raise DataError("cases must be ranked before calibration")
@@ -341,12 +344,10 @@ def calibrate(
     report_bands.sort(key=lambda b: (b.score_high is None, -(b.score_high or 0.0)))
     threshold = None
     if target_precision is not None:
-        qualifying = [
-            b.score_low for b in report_bands
-            if b.fraction_positive is not None and b.fraction_positive >= target_precision
-            and b.score_low is not None
-        ]
-        threshold = min(qualifying) if qualifying else None
+        for band in report_bands:
+            if band.fraction_positive is None or band.fraction_positive < target_precision:
+                break
+            threshold = band.score_low if threshold is None else min(threshold, band.score_low)
     return CalibrationReport(
         bands=report_bands, target_precision=target_precision, threshold_score=threshold
     )

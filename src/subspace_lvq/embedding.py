@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import io
 import logging
+import os
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -36,6 +37,10 @@ _CACHE_VERSION = 1
 _CACHE_META = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<u8"),
                         ("checksum", "<u4")])
 _CHUNK = 1 << 20
+# float64 values per read slice of a cached matrix (1 MiB): each slice is
+# checked while it is in cache, so a hit holds the matrix plus one slice's
+# ``np.isfinite`` temporary.
+_SLICE = (1 << 20) // 8
 # The hashing buffer.  Hashing a 57 MB file took the same ~40 ms with this
 # and with a 1 MiB buffer, but the 1 MiB one, allocated on the hashing
 # thread, raised peak RSS by about 1 MiB more.
@@ -48,8 +53,8 @@ class RowMap(Mapping):
     ``rows`` maps each word to its row; every value is a view of that row.
     """
 
-    def __init__(self, words, matrix: np.ndarray):
-        self.rows = dict(zip(words, range(len(matrix))))
+    def __init__(self, rows: dict[str, int], matrix: np.ndarray):
+        self.rows = rows
         self.matrix = matrix
 
     def __getitem__(self, word: str) -> np.ndarray:
@@ -84,7 +89,8 @@ class EmbeddingTable:
         if not isinstance(self.entries, RowMap):
             matrix = np.array(list(self.entries.values()), dtype=np.float64)
             object.__setattr__(self, "entries", RowMap(
-                self.entries, matrix.reshape(len(self.entries), self.dim)))
+                {word: row for row, word in enumerate(self.entries)},
+                matrix.reshape(len(self.entries), self.dim)))
 
     @property
     def matrix(self) -> np.ndarray:
@@ -146,13 +152,16 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     parsed again and the cache rewritten.  Both paths give bit-identical
     vectors, and every entry is a row view of one ``(V, D)`` matrix.
 
-    For a file larger than one read chunk (1 MiB), the SHA-256 is computed
-    on one worker thread while the calling thread reads and checks the
-    cache.  Both release the GIL, so the two passes overlap, at the cost
-    of one thread and one 256 KiB read buffer per load.  The key and every
-    check are those of a smaller file, which is hashed first and its cache
-    read after, because a thread start would cost more than it saves
-    there.  No worker is left running when this function returns or raises.
+    When there is no cache file, the text is parsed at once and hashed by
+    the parse.  Otherwise, for a file larger than one read chunk (1 MiB),
+    the SHA-256 is computed on one worker thread while the calling thread
+    reads and checks the cache.  Both release the GIL, so the two passes
+    overlap, at the cost of one thread and one 256 KiB read buffer per
+    load.  The key and every check are those of a smaller file, which is
+    hashed first and its cache read after, because a thread start would
+    cost more than it saves there.  No worker is left running when this
+    function returns or raises.  The cached matrix is read and checked in
+    1 MiB slices, so a hit holds the matrix and little else.
 
     Raises
     ------
@@ -165,29 +174,13 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     path = Path(path)
     cache = path.with_name(path.name + CACHE_SUFFIX)
     with reading(path, "embedding file"):
-        # A worker thread on every load raised the median load time of an
-        # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
-        # stay sequential.
-        if path.stat().st_size <= _CHUNK:
-            digest = _sha256(path)
-            cached = _read_cache(cache)
-        else:
-            # Imported only here: the module adds ~0.35 MiB of peak RSS,
-            # which a process that loads only small tables need not pay.
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=1) as pool:
-                hashing = pool.submit(_sha256, path)
-                cached = _read_cache(cache)
-                digest = hashing.result()
-        if cached is not None and cached[3] != digest.encode("ascii"):
-            log.info("%s: stale or damaged embedding cache, rebuilding", cache)
-            cached = None
+        # Without a cache file the text is parsed at once, and the parse hashes it.
+        cached = _read_hit(path, cache) if cache.exists() else None
         if cached is None:
-            words, matrix, duplicates, digest = _parse_text(path)
-            _write_cache(cache, digest, words, matrix, duplicates)
+            rows, matrix, duplicates, digest = _parse_text(path)
+            _write_cache(cache, digest, rows, matrix, duplicates)
         else:
-            words, matrix, duplicates, _ = cached
+            rows, matrix, duplicates, _ = cached
     if duplicates:
         log.warning("%s: %d duplicate words, last occurrence kept", path, duplicates)
     dim = matrix.shape[1]
@@ -195,7 +188,30 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         raise DimensionError(
             f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
         )
-    return EmbeddingTable(dim=dim, entries=RowMap(words, matrix), source_name=path.name)
+    return EmbeddingTable(dim=dim, entries=RowMap(rows, matrix), source_name=path.name)
+
+
+def _read_hit(path: Path, cache: Path):
+    """:func:`_read_cache`'s result if the cache is keyed by the text's SHA-256, else None."""
+    # A worker thread on every load raised the median load time of an
+    # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
+    # stay sequential.
+    if path.stat().st_size <= _CHUNK:
+        digest = _sha256(path)
+        cached = _read_cache(cache)
+    else:
+        # Imported only here: the module adds ~0.35 MiB of peak RSS,
+        # which a process that loads only small tables need not pay.
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            hashing = pool.submit(_sha256, path)
+            cached = _read_cache(cache)
+            digest = hashing.result()
+    if cached is not None and cached[3] != digest.encode("ascii"):
+        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+        return None
+    return cached
 
 
 class _HashingReader(io.RawIOBase):
@@ -244,7 +260,7 @@ def _row_capacity(path: Path) -> int:
 
 
 def _parse_text(path: Path):
-    """Parse the text format: (words, (V, D) matrix, duplicates, SHA-256 of the bytes read).
+    """Parse the text format: (word -> row, (V, D) matrix, duplicates, SHA-256 of the bytes read).
 
     The digest is taken from the bytes the parser reads, not from an earlier
     pass, so a cache never pairs one version of the file with another's data.
@@ -287,16 +303,19 @@ def _parse_text(path: Path):
                 raise FormatError("non-finite embedding component", path=path, line=lineno)
     if matrix is None:
         raise FormatError("empty embedding file", path=path)
-    return list(rows), matrix[: len(rows)], duplicates, digest.hexdigest()
+    return rows, matrix[: len(rows)], duplicates, digest.hexdigest()
 
 
-def _checksum(duplicates: int, blob: np.ndarray, matrix: np.ndarray) -> int:
+def _checksum(duplicates: int, *parts) -> int:
+    """CRC-32 of the duplicate count, then of each buffer; a reader may chain on."""
     crc = zlib.crc32(duplicates.to_bytes(8, "little"))
-    return zlib.crc32(matrix, zlib.crc32(blob, crc))
+    for part in parts:
+        crc = zlib.crc32(part, crc)
+    return crc
 
 
 def _read_cache(cache: Path):
-    """(words, matrix, duplicates, the text's SHA-256 as ASCII hex) from a valid cache.
+    """(word -> row, matrix, duplicates, the text's SHA-256 as ASCII hex) from a valid cache.
 
     Returns None, and the caller parses the text, when the cache is missing,
     was written by another cache version, or fails any check.  The caller
@@ -304,38 +323,71 @@ def _read_cache(cache: Path):
     """
     try:
         with cache.open("rb") as handle:
-            meta, blob, matrix = (np.load(handle, allow_pickle=False) for _ in range(3))
-            trailing = handle.read(1)
+            cached = _read_cache_records(handle)
     except FileNotFoundError:
         return None
     except Exception as exc:  # noqa: BLE001 - an unreadable cache is rebuilt, never fatal
         log.info("%s: unreadable embedding cache, rebuilding: %r", cache, exc)
         return None
-    if (meta.dtype == _CACHE_META and meta.shape == () and not trailing
-            and meta["version"] == _CACHE_VERSION
-            and blob.dtype == np.uint8 and blob.ndim == 1
-            and matrix.dtype == np.float64 and matrix.ndim == 2 and matrix.shape[1] > 0
-            and matrix.flags.c_contiguous
-            and meta["checksum"] == _checksum(int(meta["duplicates"]), blob, matrix)
-            and np.isfinite(matrix).all()):
-        try:
-            words = blob.tobytes().decode("utf-8").split("\n")
-        except UnicodeDecodeError:
-            words = []
-        if len(words) == matrix.shape[0] == len(set(words)):
-            return words, matrix, int(meta["duplicates"]), bytes(meta["digest"])
-    log.info("%s: stale or damaged embedding cache, rebuilding", cache)
-    return None
+    if cached is None:
+        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+    return cached
 
 
-def _write_cache(cache: Path, digest: str, words: list[str], matrix: np.ndarray,
+_MATRIX_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
+                   (2, 0): np.lib.format.read_array_header_2_0}
+
+
+def _read_cache_records(handle):
+    """:func:`_read_cache`'s result from an open cache, or None if a check fails.
+
+    The matrix record is not loaded whole: its header is checked against
+    the bytes left in the file, and its data is read into one ``(V, D)``
+    array slice by slice, each slice checksummed and tested for finite
+    values while it is in cache.
+    """
+    meta = np.load(handle, allow_pickle=False)
+    blob = np.load(handle, allow_pickle=False)
+    if not (meta.dtype == _CACHE_META and meta.shape == () and meta["version"] == _CACHE_VERSION
+            and blob.dtype == np.uint8 and blob.ndim == 1):
+        return None
+    read_header = _MATRIX_HEADERS.get(np.lib.format.read_magic(handle))
+    if read_header is None:
+        return None
+    shape, fortran_order, dtype = read_header(handle)
+    if not (dtype == np.float64 and len(shape) == 2 and shape[1] > 0 and not fortran_order
+            and 8 * shape[0] * shape[1] == os.fstat(handle.fileno()).st_size - handle.tell()):
+        return None
+    words = str(blob, "utf-8").split("\n")
+    rows = dict(zip(words, range(len(words))))
+    if not len(words) == len(rows) == shape[0]:   # a missing, extra or repeated word
+        return None
+    duplicates = int(meta["duplicates"])
+    crc = _checksum(duplicates, blob)
+    matrix = np.empty(shape, dtype=np.float64)
+    values = matrix.reshape(-1)
+    # One mask for every slice: a fresh 128 KiB one per slice is mapped and
+    # unmapped by malloc each time.
+    finite = np.empty(min(values.size, _SLICE), dtype=bool)
+    for start in range(0, values.size, _SLICE):
+        piece = values[start:start + _SLICE]
+        if (handle.readinto(piece) != piece.nbytes
+                or not np.isfinite(piece, out=finite[:piece.size]).all()):
+            return None
+        crc = zlib.crc32(piece, crc)
+    if crc != meta["checksum"]:
+        return None
+    return rows, matrix, duplicates, bytes(meta["digest"])
+
+
+def _write_cache(cache: Path, digest: str, rows: dict[str, int], matrix: np.ndarray,
                  duplicates: int) -> None:
     """Store a parsed table as three ``np.save`` records: meta, words, matrix.
 
-    Words are joined by newlines (no word contains one) into UTF-8 bytes.
-    An unwritable directory costs only the cache, never the load.
+    Words are joined in row order by newlines (no word contains one) into
+    UTF-8 bytes.  An unwritable directory costs only the cache, never the load.
     """
-    blob = np.frombuffer("\n".join(words).encode("utf-8"), dtype=np.uint8)
+    blob = np.frombuffer("\n".join(rows).encode("utf-8"), dtype=np.uint8)
     meta = np.array((_CACHE_VERSION, digest.encode("ascii"), duplicates,
                      _checksum(duplicates, blob, matrix)), dtype=_CACHE_META)
     try:

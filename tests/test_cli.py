@@ -703,6 +703,26 @@ class TestOptionsResolvedFirst:
                                           f"{flag} {float(value)!r}: must be a finite number")
         assert set(config) == set(cli._COMMANDS[command][2]) - {flag[2:].replace("-", "_")}
 
+    @pytest.mark.parametrize("command", ["synth-data", "train", "sample", "grad-check"])
+    def test_negative_seed(self, command, tmp_path, capsys):
+        assert main(self.argv(command, tmp_path) + ["--seed", "-1"]) == 1
+        config = self.assert_failed_early(tmp_path, capsys, "usage",
+                                          "--seed -1: must be a non-negative integer")
+        if command != "grad-check":
+            assert set(config) == set(cli._COMMANDS[command][2]) - {"seed"}
+
+    @pytest.mark.parametrize("argv, seed", [([], 20240), (["--seed", "0"], 0)])
+    def test_grad_check_seed(self, argv, seed, monkeypatch, capsys):
+        seeds = []
+
+        def checks(base_seed):
+            seeds.append(base_seed)
+            return [], 0.0, 0.0
+
+        monkeypatch.setattr(cli, "run_gradient_checks", checks)
+        assert main(["grad-check", *argv]) == 0
+        assert seeds == [seed]
+
     def test_non_finite_config_value(self, tmp_path, capsys):
         conf = tmp_path / "run.conf"
         conf.write_text("beta = nan\n")

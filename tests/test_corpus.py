@@ -263,6 +263,28 @@ class TestCalibrate:
         assert report.threshold_score == pytest.approx(0.705, abs=1e-12)
         assert all(s.score > 0.7 for s in ranked if s.score >= report.threshold_score)
 
+    def test_threshold_run_starts_at_the_top_band(self):
+        """A qualifying band below a failing one does not lower the threshold."""
+        ranked = rank(scored([(i + 0.5) / 100.0 for i in range(100)]))
+        top = [s for s in ranked if s.percentile >= 90.0]
+        middle = [s for s in ranked if 50.0 <= s.percentile < 60.0]
+        annotations = {s.case_id: i < 6 for i, s in enumerate(top)}
+        annotations[middle[0].case_id] = True
+        report = calibrate(ranked, annotations, [(90.0, 100.0), (50.0, 60.0)],
+                           target_precision=0.9)
+        assert [b.fraction_positive for b in report.bands] == [0.6, 1.0]
+        assert report.threshold_score is None
+
+    def test_band_without_annotations_ends_the_run(self):
+        ranked = rank(scored([(i + 0.5) / 100.0 for i in range(100)]))
+        annotations = {s.case_id: True for s in ranked
+                       if s.percentile >= 80.0 or s.percentile < 70.0}
+        report = calibrate(ranked, annotations,
+                           [(90.0, 100.0), (80.0, 90.0), (70.0, 80.0), (60.0, 70.0)],
+                           target_precision=1.0)
+        assert [b.fraction_positive for b in report.bands] == [1.0, 1.0, None, 1.0]
+        assert report.threshold_score == pytest.approx(0.805, abs=1e-12)
+
     def test_band_without_annotations_is_undefined_not_zero(self):
         ranked = rank(scored([0.9, 0.1]))
         report = calibrate(ranked, {"c0": True}, [(50.0, 100.0), (0.0, 50.0)])

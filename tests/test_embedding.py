@@ -3,6 +3,7 @@
 import errno
 import tempfile
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -270,7 +271,8 @@ class TestEmbeddingCache:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
-        "duplicate_words", "not_npy", "wrong_digest",
+        "duplicate_words", "not_npy", "wrong_digest", "rows_beyond_file", "fortran_matrix",
+        "float32_matrix", "words_not_utf8",
     ])
     def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
         path = tmp_path / "emb.txt"
@@ -305,8 +307,43 @@ class TestEmbeddingCache:
         elif damage == "wrong_digest":   # passes every check of the cache itself
             meta["digest"] = b"0" * 64
             write_cache_records(cache, meta, blob, matrix)
+        elif damage == "rows_beyond_file":   # the header promises a fourth row
+            write_cache_records(cache, meta, blob)
+            with cache.open("ab") as handle:
+                np.lib.format.write_array_header_1_0(
+                    handle, {"descr": "<f8", "fortran_order": False, "shape": (4, 3)})
+                handle.write(matrix.tobytes())
+        elif damage == "fortran_matrix":   # a checksum over the bytes as stored
+            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob,
+                                                   np.ascontiguousarray(matrix.T))
+            write_cache_records(cache, meta, blob, np.asfortranarray(matrix))
+        elif damage == "words_not_utf8":
+            blob = np.frombuffer(b"alpha\nbeta\ngamm\xff", dtype=np.uint8)
+            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
+            write_cache_records(cache, meta, blob, matrix)
+        elif damage == "float32_matrix":
+            matrix = matrix.astype(np.float32)
+            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
+            write_cache_records(cache, meta, blob, matrix)
         assert_same_table(reference, load_embeddings(path))
         assert cache.read_bytes() == good
+
+    def test_text_is_hashed_only_on_a_hit(self, tmp_path, monkeypatch):
+        """A first load parses at once; the parse hashes the text as it reads it."""
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        calls = []
+        sha256 = embedding._sha256
+
+        def spy(path):
+            calls.append(path)
+            return sha256(path)
+
+        monkeypatch.setattr(embedding, "_sha256", spy)
+        parsed = load_embeddings(path)
+        assert calls == [] and cache_of(path).exists()
+        assert_same_table(parsed, load_embeddings(path))
+        assert calls == [path]
 
     def test_unwritable_directory_still_loads(self, tmp_path, monkeypatch, caplog):
         path = tmp_path / "emb.txt"
@@ -438,6 +475,25 @@ def test_large_table_hit_is_bit_identical_to_parse(tmp_path, monkeypatch):
     cached = load_embeddings(path)
     assert_same_table(parsed, cached)
     assert_same_table(table, cached)
+
+
+def test_hit_holds_the_matrix_and_one_read_slice(tmp_path):
+    """A whole-matrix temporary (such as np.isfinite's, matrix.nbytes / 8) fails this."""
+    rng = np.random.default_rng(4)
+    table = EmbeddingTable(dim=2000, entries={f"w{i}": rng.standard_normal(2000)
+                                              for i in range(300)})
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    load_embeddings(path)
+    load_embeddings(path)   # the first hit imports the hashing thread's module
+    tracemalloc.start()
+    try:
+        cached = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert_same_table(table, cached)
+    assert peak - cached.matrix.nbytes < cached.matrix.nbytes / 8
 
 
 def read_cache_records(cache):
