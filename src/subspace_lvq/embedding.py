@@ -83,7 +83,6 @@ class EmbeddingTable:
 
     dim: int
     entries: Mapping[str, np.ndarray]
-    source_name: str = ""
 
     def __post_init__(self):
         if not isinstance(self.entries, RowMap):
@@ -188,7 +187,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         raise DimensionError(
             f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
         )
-    return EmbeddingTable(dim=dim, entries=RowMap(rows, matrix), source_name=path.name)
+    return EmbeddingTable(dim=dim, entries=RowMap(rows, matrix))
 
 
 def _read_hit(path: Path, cache: Path):

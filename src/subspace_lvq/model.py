@@ -31,6 +31,7 @@ from .geometry import (
     _row_distances,
     distance_gradient_basis,
     distance_gradient_weights,
+    on_simplex,
     principal_angles,
     principal_system,
     project_simplex,
@@ -43,6 +44,10 @@ log = logging.getLogger(__name__)
 
 # Bases stacked per prototype at initialization; more adds little.
 _INIT_SAMPLE_CAP = 10
+
+# gradient_check: random documents per check, and the central-difference step.
+_GRAD_CHECK_EXAMPLES = 6
+_GRAD_CHECK_EPS = 1e-6
 
 
 @dataclass
@@ -138,8 +143,8 @@ def distance(doc: Subspace, proto: Prototype, weights: np.ndarray, kind: str) ->
     return weighted_distance(principal_angles(doc.basis, proto.basis).cosines, weights, kind)
 
 
-def _check_weights(weights: np.ndarray, atol: float = 1e-12):
-    if np.any(weights < 0) or abs(float(weights.sum()) - 1.0) > atol:
+def _check_weights(weights: np.ndarray):
+    if not on_simplex(weights):
         raise DataError("relevance weights must be nonnegative and sum to 1")
 
 
@@ -490,10 +495,7 @@ def random_orthonormal(dim: int, k: int, rng) -> np.ndarray:
     return qr_retract(rng.standard_normal((dim, k)))
 
 
-def gradient_check(
-    embedding_dim: int, subspace_dim: int, kind: str, seed: int,
-    n_examples: int = 6, eps: float = 1e-6,
-) -> GradCheckResult:
+def gradient_check(embedding_dim: int, subspace_dim: int, kind: str, seed: int) -> GradCheckResult:
     """Compare analytic cost gradients against central finite differences.
 
     Every prototype entry and every relevance weight is probed with a
@@ -513,33 +515,31 @@ def gradient_check(
     doc_rank = min(subspace_dim, embedding_dim - subspace_dim)
     examples = [
         (random_orthonormal(embedding_dim, doc_rank, rng), labels[i % 2])
-        for i in range(n_examples)
+        for i in range(_GRAD_CHECK_EXAMPLES)
     ]
 
     _, grads_w, grad_l = total_cost_and_gradients(bases, labels, weights, examples, 5.0, kind)
-
-    # _cost_pass checks no orthonormality, so the probes may move raw entries.
-    fd_w = [np.zeros_like(b) for b in bases]
-    for p, basis in enumerate(bases):
-        for i in range(embedding_dim):
-            for j in range(subspace_dim):
-                probe = [b.copy() for b in bases]
-                probe[p][i, j] += eps
-                up = _cost_pass(probe, labels, weights, examples, 5.0, kind)[0]
-                probe[p][i, j] -= 2 * eps
-                down = _cost_pass(probe, labels, weights, examples, 5.0, kind)[0]
-                fd_w[p][i, j] = (up - down) / (2 * eps)
-    fd_l = np.zeros_like(weights)
-    for i in range(subspace_dim):
-        probe = weights.copy()
-        probe[i] += eps
-        up = _cost_pass(bases, labels, probe, examples, 5.0, kind)[0]
-        probe[i] -= 2 * eps
-        down = _cost_pass(bases, labels, probe, examples, 5.0, kind)[0]
-        fd_l[i] = (up - down) / (2 * eps)
-
     analytic = np.concatenate([g.ravel() for g in grads_w] + [grad_l])
-    numeric = np.concatenate([g.ravel() for g in fd_w] + [fd_l])
+
+    # One flat vector holds every parameter: prototype entries, then weights.
+    # _cost_pass checks no orthonormality, so the probes may move raw entries.
+    params = np.concatenate([b.ravel() for b in bases] + [weights])
+    split = params.size - subspace_dim
+    shape = (len(bases), embedding_dim, subspace_dim)
+
+    def cost(probe):
+        return _cost_pass(probe[:split].reshape(shape), labels, probe[split:],
+                          examples, 5.0, kind)[0]
+
+    eps = _GRAD_CHECK_EPS
+    numeric = np.empty_like(params)
+    for i in range(params.size):
+        probe = params.copy()
+        probe[i] += eps
+        up = cost(probe)
+        probe[i] -= 2 * eps
+        numeric[i] = (up - cost(probe)) / (2 * eps)
+
     denom = max(np.linalg.norm(analytic), np.linalg.norm(numeric), 1e-12)
     return GradCheckResult(
         embedding_dim=embedding_dim,

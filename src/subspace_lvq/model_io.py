@@ -21,7 +21,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import FormatError, reading
-from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, orthonormality_residual
+from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, on_simplex, orthonormality_residual
 from .model import ModelState, Prototype
 
 MAGIC = b"SUBSPACE-LVQ-MODEL\n"
@@ -135,7 +135,7 @@ def load_model(path) -> ModelState:
         i = int(np.argmax(bad))
         raise FormatError(f"prototype {i} is not orthonormal (residual {residuals[i]:.3e})",
                           path=path)
-    if np.any(relevances < 0) or not abs(float(relevances.sum()) - 1.0) <= 1e-12:
+    if not on_simplex(relevances):
         raise FormatError("relevances are not on the probability simplex", path=path)
     if len(class_labels) < 2:
         raise FormatError(f"class_labels {class_labels} name fewer than two classes", path=path)

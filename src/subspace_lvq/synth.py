@@ -20,6 +20,9 @@ from .embedding import EmbeddingTable, save_embeddings
 
 CLASS_LABELS = ("topic_a", "topic_b")
 
+# Share of a document's words drawn from its class's exclusive block.
+_EXCLUSIVE_RATE = 0.9
+
 
 @dataclass
 class SyntheticCorpus:
@@ -36,7 +39,6 @@ def generate(
     bank_size: int = 100,
     shared_size: int = 30,
     doc_length: tuple[int, int] = (80, 300),
-    exclusive_rate: float = 0.9,
 ) -> SyntheticCorpus:
     """Build a deterministic two-class corpus with planted vocabulary."""
     rng = np.random.default_rng(seed)
@@ -52,7 +54,7 @@ def generate(
     for word in vocab:
         vec = rng.standard_normal(dim)
         entries[word] = vec / np.linalg.norm(vec)
-    table = EmbeddingTable(dim=dim, entries=entries, source_name="synthetic")
+    table = EmbeddingTable(dim=dim, entries=entries)
 
     records = []
     lo, hi = doc_length
@@ -62,7 +64,7 @@ def generate(
             n_words = int(rng.integers(lo, hi + 1))
             words = [
                 own[int(rng.integers(len(own)))]
-                if rng.random() < exclusive_rate
+                if rng.random() < _EXCLUSIVE_RATE
                 else shared[int(rng.integers(len(shared)))]
                 for _ in range(n_words)
             ]

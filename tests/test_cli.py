@@ -254,6 +254,12 @@ class TestConfigAndErrors:
         with pytest.raises(UsageError):
             read_config_file(config)
 
+    def test_config_line_without_equals(self, tmp_path):
+        config = tmp_path / "bad.conf"
+        config.write_text("# comment\nseed 1\n")
+        with pytest.raises(UsageError, match="bad.conf:2: expected 'key = value'"):
+            read_config_file(config)
+
     def test_missing_seed_is_usage_error(self, workspace, tmp_path, capsys):
         data = workspace["data"]
         code = main(["train", "--embeddings", str(data / "embeddings.txt"),
@@ -499,6 +505,19 @@ class TestTrainOptions:
         assert set(manifest["config"]) == set(names)
         assert manifest["config"][flag[2:].replace("-", "_")] == float(value)
         assert manifest["config"]["corpus"] == missing
+
+    def test_d_above_table_dimension(self, workspace, tmp_path, capsys):
+        missing = str(tmp_path / "missing")
+        out = tmp_path / "out"
+        code = main(["train", "--embeddings", str(workspace["data"] / "embeddings.txt"),
+                     "--corpus", missing, "--seed", "1", "--d", "26", "--out", str(out)])
+        assert code == 1
+        message = "subspace dimension 26 exceeds embedding dimension 25"
+        assert capsys.readouterr().err == f"error: dimension: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": "dimension", "message": message}
+        assert manifest["outputs"] == []
 
 
 class TestPositiveLabel:
@@ -758,3 +777,15 @@ def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     for args in commands:
         assert main(args) == 0, args
+
+
+def test_readme_python_api_runs_as_written(tmp_path, monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Python API", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth-data", "--seed", "7", "--out", "data"]) == 0
+    capsys.readouterr()
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert 0.0 <= float(capsys.readouterr().out) <= 1.0
+    assert len(namespace["ranked"]) + len(namespace["skipped"]) == len(namespace["records"])

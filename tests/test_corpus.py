@@ -58,6 +58,27 @@ class TestIngest:
         with pytest.raises(FormatError, match="2"):
             ingest(path)
 
+    @pytest.mark.parametrize("record, message", [
+        (["c1", "text"], "record is not an object"),
+        ({"text": "words"}, "missing or invalid 'case_id'"),
+        ({"case_id": "c1", "text": " "}, "missing or empty 'text'"),
+        ({"case_id": "c1", "text": "words", "label": 1}, "'label' must be a string"),
+        ({"case_id": "c1", "text": "words", "tags": ["art8", 3]},
+         "'tags' must be an array of strings"),
+    ], ids=["not-object", "no-case-id", "empty-text", "label-not-string", "tags-not-strings"])
+    def test_bad_record_rejected(self, tmp_path, record, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"case_id": "a", "text": "x"}) + "\n"
+                        + json.dumps(record) + "\n")
+        with pytest.raises(FormatError, match=rf"corpus.jsonl:2: {message}"):
+            ingest(path)
+
+    def test_empty_case_file_rejected(self, tmp_path):
+        (tmp_path / "c1.txt").write_text("text of c1")
+        (tmp_path / "c2.txt").write_text(" \n")
+        with pytest.raises(FormatError, match=r"c2.txt: empty case text"):
+            ingest(tmp_path)
+
     def test_empty_corpus_rejected(self, tmp_path):
         path = tmp_path / "corpus.jsonl"
         path.write_text("")
@@ -411,6 +432,21 @@ class TestScoredFiles:
     def test_repeated_case_id_rejected(self, tmp_path):
         self.rejected_at_line_3(tmp_path, "a,0.9,50,pos", "repeated case id 'a'")
 
+    def test_short_row_rejected(self, tmp_path):
+        self.rejected_at_line_3(tmp_path, "b,0.5", "malformed row")
+
+    def test_wrong_header_rejected(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,probability,percentile,predicted_label\na,0.9,50,pos\n")
+        with pytest.raises(FormatError, match="scored.csv: not a scored-cases file"):
+            read_scored(path)
+
+    def test_file_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label\n")
+        with pytest.raises(DataError, match="scored.csv: no scored cases"):
+            read_scored(path)
+
     def test_boundary_values_accepted(self, tmp_path):
         path = tmp_path / "scored.csv"
         path.write_text("case_id,score,percentile,predicted_label\n"
@@ -428,6 +464,14 @@ class TestScoredFiles:
         path = tmp_path / "ann.jsonl"
         path.write_text('{"case_id": "a", "positive": "yes"}\n')
         with pytest.raises(FormatError):
+            read_annotations(path)
+
+    def test_repeated_annotation_rejected(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        write_annotations({"a": True, "b": False}, path)
+        with path.open("a") as handle:
+            handle.write('{"case_id": "a", "positive": false}\n')
+        with pytest.raises(DataError, match="duplicate annotation for 'a'"):
             read_annotations(path)
 
 

@@ -90,6 +90,10 @@ class TestPrincipalAngles:
         with pytest.raises(NotOrthonormalError):
             principal_angles(skewed, np.eye(3)[:, :2])
 
+    def test_rejects_nan_basis(self):
+        with pytest.raises(NotOrthonormalError, match="residual nan"):
+            principal_angles(np.full((3, 2), np.nan), np.eye(3)[:, :2])
+
     def test_swap_symmetry_of_cosines(self):
         rng = np.random.default_rng(3)
         a = random_orthonormal(9, 3, rng)
@@ -208,7 +212,7 @@ class TestRetraction:
 
 
 def old_project_simplex(v):
-    """The vectorised projection, kept as the oracle of both ``project_simplex`` paths."""
+    """The vectorised projection, kept as the oracle of ``project_simplex``'s loop."""
     v = np.asarray(v, dtype=np.float64)
     u = np.sort(v)[::-1]
     cumulative = np.cumsum(u)
@@ -220,10 +224,11 @@ def old_project_simplex(v):
 
 class TestSimplexProjection:
     # Values from a short list as well, so that ties and sums that land on
-    # exactly one occur.  Up to 100 entries, so both sides of the loop
-    # threshold are drawn.
-    @given(st.lists(st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]),
-                    min_size=1, max_size=100))
+    # exactly one occur.  The length is drawn first, uniform up to 300
+    # entries, so long vectors are drawn as often as short ones.
+    @given(st.integers(1, 300).flatmap(lambda n: st.lists(
+        st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]),
+        min_size=n, max_size=n)))
     @settings(max_examples=400, deadline=None)
     def test_matches_the_vectorised_projection_bit_for_bit(self, values):
         v = np.array(values)

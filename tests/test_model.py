@@ -149,6 +149,11 @@ class TestDistanceOp:
         with pytest.raises(DataError):
             distance(sub(np.eye(3)[:, :2]), proto, np.array([0.9, 0.3]), CHORDAL)
 
+    def test_nan_weight_rejected(self):
+        proto = Prototype(basis=np.eye(3)[:, :2], label="a")
+        with pytest.raises(DataError, match="relevance weights"):
+            distance(sub(np.eye(3)[:, :2]), proto, np.array([np.nan, 1.0]), CHORDAL)
+
     def test_ambient_dimension_mismatch_rejected(self):
         proto = Prototype(basis=np.eye(3)[:, :2], label="a")
         with pytest.raises(DimensionError, match="ambient dimensions differ: 4 vs 3"):
