@@ -43,7 +43,7 @@ from .corpus import (
     write_scored,
 )
 from .embedding import load_embeddings, load_stopwords
-from .errors import DimensionError, ToolkitError, UsageError, map_records
+from .errors import ToolkitError, UsageError, map_records
 from .explain import explanation_report, write_reports_csv, write_reports_jsonl
 from .geometry import DISTANCE_KINDS
 from .model import (
@@ -55,6 +55,7 @@ from .model import (
     train,
 )
 from .model_io import load_model, model_checksum, save_model
+from .subspace import check_subspace_dim
 from .synth import generate as generate_synthetic, write_synthetic
 
 log = logging.getLogger("subspace_lvq.cli")
@@ -313,11 +314,7 @@ def cmd_train(opts: Options, run: Run) -> int:
     config = _train_config(opts)
     table = load_embeddings(opts.get("embeddings"))
     stoplist = load_stopwords(opts.get("stopwords"))
-    if config.subspace_dim > table.dim:
-        raise DimensionError(
-            f"subspace dimension {config.subspace_dim} exceeds embedding "
-            f"dimension {table.dim}"
-        )
+    check_subspace_dim(config.subspace_dim, table.dim)
     records = ingest(opts.get("corpus"))
 
     fraction = opts.get("train_fraction")

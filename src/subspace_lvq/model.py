@@ -36,9 +36,10 @@ from .geometry import (
     principal_system,
     project_simplex,
     qr_retract,
+    sign_normalize_columns,
     weighted_distance,
 )
-from .subspace import LabeledSubspace, Subspace, _svd_basis
+from .subspace import LabeledSubspace, Subspace, _svd_basis, check_subspace_dim
 
 log = logging.getLogger(__name__)
 
@@ -128,13 +129,12 @@ def cost_term(d_plus: float, d_minus: float, beta: float) -> tuple[float, float]
     mu = (d+ - d-) / (d+ + d-) lies in [-1, 1]; the cost reads as the
     probability of misclassifying the sample.
     """
-    total = d_plus + d_minus
-    if total <= 0.0:
+    terms = _sample_terms((d_plus, d_minus), (True, False), beta)
+    if terms is None:
         raise DegenerateSampleError(
             f"both winner distances are zero (d+={d_plus}, d-={d_minus})"
         )
-    mu = (d_plus - d_minus) / total
-    return mu, sigmoid(beta * mu)
+    return (d_plus - d_minus) / (d_plus + d_minus), terms[2]
 
 
 def distance(doc: Subspace, proto: Prototype, weights: np.ndarray, kind: str) -> float:
@@ -198,14 +198,16 @@ def score(doc: Subspace, model: ModelState, positive_label: str) -> float:
 
 
 def _positive_probability(dists: np.ndarray, model: ModelState, positive_label: str) -> float:
-    """:func:`score` from the prototype distances :func:`classify` returned."""
-    labels = model.prototype_labels()
-    pos = min(d for d, lab in zip(dists, labels) if lab == positive_label)
-    neg = min(d for d, lab in zip(dists, labels) if lab != positive_label)
-    total = pos + neg
-    if total <= 0.0:
+    """:func:`score` from the prototype distances :func:`classify` returned.
+
+    The positive probability is the training cost of labelling the document
+    negative, so it comes from the same :func:`_sample_terms`.
+    """
+    negative = [lab != positive_label for lab in model.prototype_labels()]
+    terms = _sample_terms(dists, negative, model.sigmoid_slope)
+    if terms is None:
         raise DegenerateSampleError("document is at zero distance to both classes")
-    return sigmoid(model.sigmoid_slope * (neg - pos) / total)
+    return terms[2]
 
 
 @dataclass
@@ -253,9 +255,7 @@ def _complete_basis(basis: np.ndarray, d: int, rng) -> np.ndarray:
         if norm < 1e-8:
             continue
         v /= norm
-        if v[int(np.argmax(np.abs(v)))] < 0:
-            v = -v
-        current = np.hstack([current, v[:, None]])
+        current = np.hstack([current, sign_normalize_columns(v[:, None])])
     return current
 
 
@@ -272,9 +272,7 @@ def init_prototypes(
     if not training:
         raise DataError("empty training set")
     labels = sorted({ex.label for ex in training})
-    dim = training[0].subspace.basis.shape[0]
-    if d > dim:
-        raise DimensionError(f"subspace dimension {d} exceeds embedding dimension {dim}")
+    check_subspace_dim(d, training[0].subspace.basis.shape[0])
     rng = np.random.default_rng(seed)
     prototypes = []
     for label in labels:
@@ -291,7 +289,7 @@ def init_prototypes(
 
 
 def _sample_terms(dists, correct_mask, beta: float):
-    """``(j, k, e, de/dd+, de/dd-)`` for one sample, or None if it is degenerate.
+    """``(j, k, e)`` for one sample, or None if it is degenerate.
 
     ``j``/``k`` are the nearest correct-/wrong-class prototypes (ties to the
     lowest index), ``e`` the sigmoid cost; None when both are at distance 0.
@@ -309,9 +307,7 @@ def _sample_terms(dists, correct_mask, beta: float):
     total = d_plus + d_minus
     if total <= 0.0:
         return None
-    e_val = sigmoid(beta * (d_plus - d_minus) / total)
-    common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
-    return j, k, e_val, common * d_minus, -common * d_plus
+    return j, k, sigmoid(beta * (d_plus - d_minus) / total)
 
 
 def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
@@ -327,10 +323,12 @@ def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
     terms = _sample_terms(dists, correct_mask, beta)
     if terms is None:
         return None
-    j, k, e_val, de_dplus, de_dminus = terms
+    j, k, e_val = terms
+    d_plus, d_minus = dists[j], dists[k]
+    common = beta * e_val * (1.0 - e_val) * 2.0 / (d_plus + d_minus)**2
     pair = np.array([j, k])
     winners = systems.take(pair)
-    return (pair, e_val, np.array([de_dplus, de_dminus]),
+    return (pair, e_val, np.array([common * d_minus, -common * d_plus]),
             distance_gradient_basis(winners, weights, kind),
             distance_gradient_weights(winners.cosines, weights.size, kind))
 

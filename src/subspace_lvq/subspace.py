@@ -52,17 +52,19 @@ def compute_subspace(matrix: WordMatrix, d: int) -> Subspace:
     cols = matrix.columns
     if cols.ndim != 2 or cols.shape[1] < 1:
         raise EmptyDocumentError(matrix.doc_id, f"document {matrix.doc_id!r}: empty word matrix")
-    dim = cols.shape[0]
-    if d < 1:
-        raise DimensionError(f"subspace dimension must be positive, got {d}")
-    if d > dim:
-        raise DimensionError(
-            f"subspace dimension {d} exceeds embedding dimension {dim}"
-        )
+    check_subspace_dim(d, cols.shape[0])
     basis = _svd_basis(distinct_columns(matrix), d)
     if basis.shape[1] == 0:
         raise EmptyDocumentError(matrix.doc_id, f"document {matrix.doc_id!r}: zero word matrix")
     return Subspace(doc_id=matrix.doc_id, basis=basis)
+
+
+def check_subspace_dim(d: int, dim: int) -> None:
+    """Reject a subspace dimension outside ``1 <= d <= dim``."""
+    if d < 1:
+        raise DimensionError(f"subspace dimension must be positive, got {d}")
+    if d > dim:
+        raise DimensionError(f"subspace dimension {d} exceeds embedding dimension {dim}")
 
 
 def _svd_basis(columns: np.ndarray, d: int) -> np.ndarray:

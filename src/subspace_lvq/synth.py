@@ -22,6 +22,9 @@ CLASS_LABELS = ("topic_a", "topic_b")
 
 # Share of a document's words drawn from its class's exclusive block.
 _EXCLUSIVE_RATE = 0.9
+# Words in each class's bank; _SHARED_SIZE of them are common to both classes.
+_BANK_SIZE = 100
+_SHARED_SIZE = 30
 
 
 @dataclass
@@ -36,16 +39,13 @@ def generate(
     docs_per_class: int = 200,
     dim: int = 50,
     seed: int = 7,
-    bank_size: int = 100,
-    shared_size: int = 30,
     doc_length: tuple[int, int] = (80, 300),
 ) -> SyntheticCorpus:
     """Build a deterministic two-class corpus with planted vocabulary."""
     rng = np.random.default_rng(seed)
-    exclusive_size = bank_size - shared_size
-    shared = [f"shared{i:03d}" for i in range(shared_size)]
+    shared = [f"shared{i:03d}" for i in range(_SHARED_SIZE)]
     exclusive = {
-        label: [f"{label}_w{i:03d}" for i in range(exclusive_size)]
+        label: [f"{label}_w{i:03d}" for i in range(_BANK_SIZE - _SHARED_SIZE)]
         for label in CLASS_LABELS
     }
     vocab = shared + [w for label in CLASS_LABELS for w in exclusive[label]]

@@ -43,8 +43,8 @@ class TestLoadEmbeddings:
             load_embeddings(path, expected_dim=3)
 
     def test_generator_roundtrip_is_bit_exact(self, tmp_path):
-        corpus = generate(docs_per_class=2, dim=7, seed=5, bank_size=30, shared_size=10)
-        assert len(corpus.table) == 50
+        corpus = generate(docs_per_class=2, dim=7, seed=5)
+        assert len(corpus.table) == 170
         path = tmp_path / "emb.txt"
         save_embeddings(corpus.table, path)
         reloaded = load_embeddings(path)

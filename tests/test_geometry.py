@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from subspace_lvq.errors import NotOrthonormalError
 from subspace_lvq.geometry import (
@@ -225,13 +226,12 @@ def old_project_simplex(v):
 class TestSimplexProjection:
     # Values from a short list as well, so that ties and sums that land on
     # exactly one occur.  The length is drawn first, uniform up to 300
-    # entries, so long vectors are drawn as often as short ones.
-    @given(st.integers(1, 300).flatmap(lambda n: st.lists(
-        st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]),
-        min_size=n, max_size=n)))
+    # entries, so long vectors are drawn as often as short ones.  Each
+    # vector is one array draw, not one draw per entry.
+    @given(arrays(np.float64, st.integers(1, 300), elements=(
+        st.floats(-50, 50) | st.sampled_from([0.0, -0.0, 0.1, 0.25, 0.5, 1.0]))))
     @settings(max_examples=400, deadline=None)
-    def test_matches_the_vectorised_projection_bit_for_bit(self, values):
-        v = np.array(values)
+    def test_matches_the_vectorised_projection_bit_for_bit(self, v):
         assert project_simplex(v).tobytes() == old_project_simplex(v).tobytes()
 
     @pytest.mark.parametrize("size", [3, 300])

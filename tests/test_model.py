@@ -29,6 +29,7 @@ from subspace_lvq.model import (
     gradient_check,
     init_prototypes,
     score,
+    sigmoid,
     total_cost_and_gradients,
     train,
 )
@@ -72,6 +73,10 @@ class TestCostTerm:
         mu, cost = cost_term(0.3, 0.1, beta=5.0)
         assert mu == pytest.approx(0.5, abs=1e-15)
         assert cost == pytest.approx(0.9241418199787566, abs=1e-15)
+
+    def test_tiny_distances(self):
+        # (d+ + d-)**2 underflows to zero here; the cost needs no such square
+        assert cost_term(5e-205, 0.0, beta=5.0) == (1.0, sigmoid(5.0))
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(DegenerateSampleError):
@@ -179,6 +184,10 @@ class TestInitPrototypes:
         # the document span must lie inside the padded prototype span
         residual = basis - p_a @ (p_a.T @ basis)
         assert np.linalg.norm(residual) < 1e-10
+        # every column, the random ones too, has its largest-magnitude entry positive
+        for p in protos:
+            largest = np.argmax(np.abs(p.basis), axis=0)
+            assert np.all(p.basis[largest, np.arange(p.basis.shape[1])] > 0)
 
     def test_same_seed_reproduces(self):
         rng = np.random.default_rng(4)

@@ -7,12 +7,19 @@ match them bit for bit, and where a summation order changed, to a
 tolerance fixed from float64 rounding.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import subspace_lvq
 from subspace_lvq.embedding import WordMatrix
+from subspace_lvq.errors import DegenerateSampleError
 from subspace_lvq.geometry import (
     _GEODESIC_SCALE,
     CHORDAL,
@@ -27,9 +34,13 @@ from subspace_lvq.geometry import (
     weighted_distance,
 )
 from subspace_lvq.model import (
+    ModelState,
+    Prototype,
     TrainConfig,
     _distances,
+    _positive_probability,
     _sample_terms,
+    classify,
     init_prototypes,
     sigmoid,
     train,
@@ -88,7 +99,11 @@ def old_distances(doc_basis, bases, weights, kind):
 
 
 def old_sample_terms(dists, correct_mask, beta):
-    """Winners by ``flatnonzero``/``argmin``, then the cost terms of ``_sample_terms``."""
+    """Winners by ``flatnonzero``/``argmin``, then the cost and its two derivatives.
+
+    ``(j, k, e, de/dd+, de/dd-)``: ``_sample_terms`` returns the first three,
+    and ``_sample_step`` computes the derivatives from them.
+    """
     correct_idx = np.flatnonzero(correct_mask)
     wrong_idx = np.flatnonzero(~correct_mask)
     j = int(correct_idx[np.argmin(dists[correct_idx])])
@@ -100,6 +115,17 @@ def old_sample_terms(dists, correct_mask, beta):
     e_val = sigmoid(beta * (d_plus - d_minus) / total)
     common = beta * e_val * (1.0 - e_val) * 2.0 / total**2
     return j, k, e_val, common * d_minus, -common * d_plus
+
+
+def old_positive_probability(dists, model, positive_label):
+    """Nearest positive and negative distances by ``min``, then their sigmoid."""
+    labels = model.prototype_labels()
+    pos = min(d for d, lab in zip(dists, labels) if lab == positive_label)
+    neg = min(d for d, lab in zip(dists, labels) if lab != positive_label)
+    total = pos + neg
+    if total <= 0.0:
+        raise DegenerateSampleError("document is at zero distance to both classes")
+    return sigmoid(model.sigmoid_slope * (neg - pos) / total)
 
 
 def old_sgd(training, config):
@@ -118,7 +144,7 @@ def old_sgd(training, config):
             ex = training[int(i)]
             systems = [old_principal_system(ex.subspace.basis, b) for b in bases]
             dists = np.array([old_weighted_distance(s[0], weights, kind) for s in systems])
-            terms = _sample_terms(dists, masks[ex.label], beta)
+            terms = old_sample_terms(dists, masks[ex.label], beta)
             if terms is None:
                 continue
             j, k, _, de_dplus, de_dminus = terms
@@ -232,10 +258,43 @@ class TestWinners:
         assume(any(c for _, c in rows) and not all(c for _, c in rows))
         dists = np.array([dist for dist, _ in rows])
         mask = np.array([correct for _, correct in rows])
-        expected = old_sample_terms(dists, mask, beta)
+        terms = old_sample_terms(dists, mask, beta)
+        expected = None if terms is None else terms[:3]
         for got in (_sample_terms(dists, mask, beta),
                     _sample_terms(dists.tolist(), mask.tolist(), beta)):
             assert got == expected
+
+
+class TestPositiveProbability:
+    def test_matches_min_winners_on_the_trained_model(self, trained):
+        model = trained.model
+        for ex in trained.test_examples:
+            _, dists = classify(ex.subspace, model)
+            for label in model.class_labels:
+                assert _positive_probability(dists, model, label) == \
+                    old_positive_probability(dists, model, label)
+
+    # Short-list values make ties and zeros common; the floats cover the rest.
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]) | st.floats(0, 2),
+                              st.booleans()),
+                    min_size=2, max_size=6),
+           st.sampled_from([0.5, 5.0]))
+    @settings(max_examples=300, deadline=None)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_matches_min_winners_on_drawn_distances(self, rows, beta):
+        assume(any(p for _, p in rows) and not all(p for _, p in rows))
+        model = ModelState(
+            prototypes=[Prototype(np.eye(2)[:, :1], "pos" if p else "neg") for _, p in rows],
+            relevances=np.ones(1), embedding_dim=2, subspace_dim=1, sigmoid_slope=beta,
+            distance_kind=CHORDAL, class_labels=["neg", "pos"])
+        dists = np.array([dist for dist, _ in rows])
+        try:
+            expected = old_positive_probability(dists, model, "pos")
+        except DegenerateSampleError:
+            with pytest.raises(DegenerateSampleError):
+                _positive_probability(dists, model, "pos")
+        else:
+            assert _positive_probability(dists, model, "pos") == expected
 
 
 class TestStackedTraining:
@@ -304,3 +363,31 @@ class TestDistinctWordSvd:
         cols = np.random.default_rng(0).standard_normal((5, 3))
         assert distinct_columns(WordMatrix("doc", cols, tokens=["a", "b", "c"])) is cols
         assert distinct_columns(WordMatrix("doc", cols)) is cols
+
+
+_SVD_IN_CHILD = """
+import sys
+import numpy as np
+from subspace_lvq.subspace import _svd_basis
+np.save(sys.argv[1], _svd_basis(np.random.default_rng(17).standard_normal((300, 500)), 50))
+"""
+
+
+def test_document_basis_agrees_across_blas_thread_counts(tmp_path):
+    # Byte identity is promised only for one BLAS thread count; another
+    # count may round differently but must give the same subspace, within
+    # the gap-derived tolerance of TestDistinctWordSvd.
+    src = str(Path(subspace_lvq.__file__).resolve().parents[1])
+    bases = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"basis{threads}.npy"
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        subprocess.run([sys.executable, "-c", _SVD_IN_CHILD, str(out)], env=env, check=True,
+                       timeout=120)
+        bases.append(np.load(out))
+    sigma = np.linalg.svd(np.random.default_rng(17).standard_normal((300, 500)),
+                          compute_uv=False)
+    atol = max(1e-12, 32 * np.finfo(float).eps * sigma[0] / (sigma[49] - sigma[50]))
+    assert bases[0].shape == bases[1].shape == (300, 50)
+    np.testing.assert_allclose(projector(bases[0]), projector(bases[1]), rtol=0, atol=atol)
