@@ -47,6 +47,7 @@ from .errors import ToolkitError, UsageError, map_records
 from .explain import explanation_report, write_reports_csv, write_reports_jsonl
 from .geometry import DISTANCE_KINDS
 from .model import (
+    GRAD_CHECK_SEED,
     TrainConfig,
     check_positive_label,
     classify,
@@ -471,7 +472,7 @@ def cmd_calibrate(opts: Options, run: Run) -> int:
 
 
 def cmd_grad_check(opts: Options, run: Run) -> int:
-    seed = opts.get("seed", default=20240)
+    seed = opts.get("seed", default=GRAD_CHECK_SEED)
     results, worst, elapsed = run_gradient_checks(base_seed=seed)
     for r in results:
         log.info("dim=%d d=%d kind=%s seed=%d rel_error=%.3e",

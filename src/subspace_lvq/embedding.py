@@ -333,10 +333,6 @@ def _read_cache(cache: Path):
     return cached
 
 
-_MATRIX_HEADERS = {(1, 0): np.lib.format.read_array_header_1_0,
-                   (2, 0): np.lib.format.read_array_header_2_0}
-
-
 def _read_cache_records(handle):
     """:func:`_read_cache`'s result from an open cache, or None if a check fails.
 
@@ -350,10 +346,9 @@ def _read_cache_records(handle):
     if not (meta.dtype == _CACHE_META and meta.shape == () and meta["version"] == _CACHE_VERSION
             and blob.dtype == np.uint8 and blob.ndim == 1):
         return None
-    read_header = _MATRIX_HEADERS.get(np.lib.format.read_magic(handle))
-    if read_header is None:
+    if np.lib.format.read_magic(handle) != (1, 0):   # np.save writes 2.0 only past 64 KiB
         return None
-    shape, fortran_order, dtype = read_header(handle)
+    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
     if not (dtype == np.float64 and len(shape) == 2 and shape[1] > 0 and not fortran_order
             and 8 * shape[0] * shape[1] == os.fstat(handle.fileno()).st_size - handle.tell()):
         return None

@@ -44,7 +44,7 @@ def _alignment_energy(unit_words: np.ndarray, doc: Subspace, proto_stack, weight
     """Per-word sum_i w_i (v_j . q_i)^2 over each stacked prototype's matched directions."""
     system = principal_system(doc.basis, proto_stack)
     m = system.cosines.shape[-1]
-    proj = unit_words.T @ system.proto_directions  # (P, n_words, m)
+    proj = unit_words.T @ (proto_stack @ system.right_vectors)  # (P, n_words, m)
     return proj**2 @ weights[:m]
 
 

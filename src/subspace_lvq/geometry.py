@@ -9,7 +9,7 @@ Euclidean projection onto the probability simplex.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,50 +63,19 @@ def sign_normalize_columns(basis: np.ndarray) -> np.ndarray:
     return basis * signs
 
 
-class PrincipalAngles:
-    """Matched principal-angle system between a document and a prototype.
+class PrincipalAngles(NamedTuple):
+    """The SVD factors of ``doc_basis.T @ proto_basis``, one principal-angle system.
 
     ``cosines[i]`` is the i-th principal cosine (descending, clamped to
-    [0, 1]); ``doc_directions[:, i]`` / ``proto_directions[:, i]`` are the
-    paired unit principal vectors inside each subspace.  ``right_vectors``
-    holds the prototype-frame coordinates of ``proto_directions`` (the right
-    singular vectors of the basis product), which the prototype gradient
-    needs.  For a stack of prototypes every field carries the stack's
-    leading axes in front of the shapes below.
-
-    Instances come from :func:`principal_system`, which passes the SVD
-    factors and both bases to the constructor: one ``(D, k)`` document
-    basis, shared by the whole stack, and the prototype basis or stack.
-    The two direction fields are built from those on first access and then
-    cached, so a caller pays only for the directions it reads.
+    [0, 1]).  The paired unit principal vectors are
+    ``doc_basis @ left_vectors[:, i]`` and ``proto_basis @ right_vectors[:, i]``;
+    each caller forms only the ones it reads.  For a stack of prototypes
+    every factor carries the stack's leading axes in front of its shape.
     """
 
-    def __init__(self, cosines, left_vectors, right_vectors, doc_basis, proto_basis):
-        self.cosines = cosines              # (m,)
-        self.right_vectors = right_vectors  # (d, m)
-        self._left = left_vectors           # (k, m), k = document width
-        self._doc_basis = doc_basis         # (D, k), shared by the whole stack
-        self._proto_basis = proto_basis     # (D, d)
-
-    @cached_property
-    def doc_directions(self) -> np.ndarray:  # (D, m)
-        return self._doc_basis @ self._left
-
-    @cached_property
-    def proto_directions(self) -> np.ndarray:  # (D, m)
-        return self._proto_basis @ self.right_vectors
-
-    def take(self, index) -> PrincipalAngles:
-        """The systems at ``index`` along the leading stack axis.
-
-        Only the prototype side is stacked, so the document basis is kept
-        whole and every other factor is sliced.  Indexing, unlike
-        ``ndarray.take``, keeps each slice's memory layout, and the
-        gradient's matrix product rounds by layout.
-        """
-        cosines, left, right, proto = (factor[index] for factor in (
-            self.cosines, self._left, self.right_vectors, self._proto_basis))
-        return PrincipalAngles(cosines, left, right, self._doc_basis, proto)
+    cosines: np.ndarray        # (m,)
+    left_vectors: np.ndarray   # (k, m), k = document width
+    right_vectors: np.ndarray  # (d, m)
 
 
 def principal_system(doc_basis: np.ndarray, proto_basis: np.ndarray) -> PrincipalAngles:
@@ -119,8 +88,7 @@ def principal_system(doc_basis: np.ndarray, proto_basis: np.ndarray) -> Principa
     see :func:`principal_angles` for the checked public entry point.
     """
     left, sigma, right_t = np.linalg.svd(doc_basis.T @ proto_basis, full_matrices=False)
-    return PrincipalAngles(np.clip(sigma, 0.0, 1.0), left, np.swapaxes(right_t, -1, -2),
-                           doc_basis, proto_basis)
+    return PrincipalAngles(np.clip(sigma, 0.0, 1.0), left, np.swapaxes(right_t, -1, -2))
 
 
 def principal_angles(doc_basis: np.ndarray, proto_basis: np.ndarray) -> PrincipalAngles:
@@ -189,12 +157,14 @@ def distance_gradient_weights(cosines: np.ndarray, n_weights: int, kind: str) ->
     return grad
 
 
-def distance_gradient_basis(angles: PrincipalAngles, weights: np.ndarray, kind: str) -> np.ndarray:
+def distance_gradient_basis(angles: PrincipalAngles, doc_basis: np.ndarray, weights: np.ndarray,
+                            kind: str) -> np.ndarray:
     """d(distance)/d(prototype basis), a D x d matrix per (stacked) system.
 
     Uses the singular-value perturbation identity d sigma_i / dW =
-    (doc principal direction i) (right singular vector i)^T.  Missing
-    angles are constants and contribute nothing.
+    (doc principal direction i) (right singular vector i)^T, with
+    ``doc_basis`` the ``(D, k)`` document basis the system came from.
+    Missing angles are constants and contribute nothing.
     """
     sigma = angles.cosines
     m = sigma.shape[-1]
@@ -209,7 +179,8 @@ def distance_gradient_basis(angles: PrincipalAngles, weights: np.ndarray, kind: 
         coeff = -2.0 * _GEODESIC_SCALE * weights[:m] * ratio
     else:
         raise ValueError(f"unknown distance kind {kind!r}")
-    return (angles.doc_directions * coeff[..., None, :]) @ np.swapaxes(angles.right_vectors, -1, -2)
+    doc_vectors = doc_basis @ angles.left_vectors   # the document's principal vectors
+    return (doc_vectors * coeff[..., None, :]) @ np.swapaxes(angles.right_vectors, -1, -2)
 
 
 def qr_retract(mat: np.ndarray) -> np.ndarray:

@@ -28,6 +28,7 @@ from .errors import (
 from .geometry import (
     CHORDAL,
     DISTANCE_KINDS,
+    PrincipalAngles,
     _row_distances,
     distance_gradient_basis,
     distance_gradient_weights,
@@ -49,6 +50,8 @@ _INIT_SAMPLE_CAP = 10
 # gradient_check: random documents per check, and the central-difference step.
 _GRAD_CHECK_EXAMPLES = 6
 _GRAD_CHECK_EPS = 1e-6
+# run_gradient_checks: the first configuration's seed, also grad-check's default --seed.
+GRAD_CHECK_SEED = 20240
 
 
 @dataclass
@@ -327,9 +330,11 @@ def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
     d_plus, d_minus = dists[j], dists[k]
     common = beta * e_val * (1.0 - e_val) * 2.0 / (d_plus + d_minus)**2
     pair = np.array([j, k])
-    winners = systems.take(pair)
+    # Indexing, unlike ``ndarray.take``, keeps each slice's memory layout,
+    # and the gradient's matrix product rounds by layout.
+    winners = PrincipalAngles(*(factor[pair] for factor in systems))
     return (pair, e_val, np.array([common * d_minus, -common * d_plus]),
-            distance_gradient_basis(winners, weights, kind),
+            distance_gradient_basis(winners, doc_basis, weights, kind),
             distance_gradient_weights(winners.cosines, weights.size, kind))
 
 
@@ -548,7 +553,7 @@ def gradient_check(embedding_dim: int, subspace_dim: int, kind: str, seed: int) 
     )
 
 
-def run_gradient_checks(base_seed: int = 20240, n_configs: int = 20):
+def run_gradient_checks(base_seed: int = GRAD_CHECK_SEED, n_configs: int = 20):
     """Gradient checks over cycled (dim, d, kind) configurations.
 
     Returns (results, max relative error, elapsed seconds).

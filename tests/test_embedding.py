@@ -272,7 +272,7 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("damage", [
         "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
         "duplicate_words", "not_npy", "wrong_digest", "rows_beyond_file", "fortran_matrix",
-        "float32_matrix", "words_not_utf8",
+        "float32_matrix", "words_not_utf8", "npy_2_0_header",
     ])
     def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
         path = tmp_path / "emb.txt"
@@ -321,6 +321,12 @@ class TestEmbeddingCache:
             blob = np.frombuffer(b"alpha\nbeta\ngamm\xff", dtype=np.uint8)
             meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
             write_cache_records(cache, meta, blob, matrix)
+        elif damage == "npy_2_0_header":   # every check but the header version passes
+            write_cache_records(cache, meta, blob)
+            with cache.open("ab") as handle:
+                np.lib.format.write_array_header_2_0(
+                    handle, {"descr": "<f8", "fortran_order": False, "shape": (3, 3)})
+                handle.write(matrix.tobytes())
         elif damage == "float32_matrix":
             matrix = matrix.astype(np.float32)
             meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)

@@ -75,7 +75,7 @@ class TestPrincipalAngles:
         doc = random_orthonormal(8, 3, rng)
         proto = random_orthonormal(8, 4, rng)
         pa = principal_angles(doc, proto)
-        cross = pa.doc_directions.T @ pa.proto_directions
+        cross = (doc @ pa.left_vectors).T @ (proto @ pa.right_vectors)
         np.testing.assert_allclose(cross, np.diag(pa.cosines), atol=1e-8)
 
     def test_cosines_sorted_and_clamped(self):

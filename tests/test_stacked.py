@@ -39,6 +39,7 @@ from subspace_lvq.model import (
     TrainConfig,
     _distances,
     _positive_probability,
+    _sample_step,
     _sample_terms,
     classify,
     init_prototypes,
@@ -180,12 +181,12 @@ class TestStackedKernels:
         raw = rng.random(d) + 0.1
         weights = raw / raw.sum()
         stacked = principal_system(doc, stack)
-        grads = distance_gradient_basis(stacked, weights, kind)
+        grads = distance_gradient_basis(stacked, doc, weights, kind)
         weight_grads = distance_gradient_weights(stacked.cosines, d, kind)
         for p in range(n_protos):
             expected = old_principal_system(doc, stack[p])
-            got = (stacked.cosines[p], stacked.doc_directions[p],
-                   stacked.proto_directions[p], stacked.right_vectors[p])
+            got = (stacked.cosines[p], (doc @ stacked.left_vectors)[p],
+                   (stack @ stacked.right_vectors)[p], stacked.right_vectors[p])
             for a, b in zip(got, expected):
                 assert a.tobytes() == b.tobytes()
             assert grads[p].tobytes() == old_gradient_basis(expected, weights, kind).tobytes()
@@ -217,33 +218,20 @@ class TestStackedKernels:
             np.testing.assert_allclose(row, old_distances(doc, list(stack), weights, kind),
                                        rtol=0, atol=1e-15)
 
-    @given(shapes, st.lists(st.integers(0, 3), min_size=2, max_size=2))
-    @settings(max_examples=100, deadline=None)
-    def test_take_matches_indexing_the_stack(self, shape, index):
-        dim, d, m, n_protos, seed = shape
-        rng = np.random.default_rng(seed)
-        doc = orthonormal(rng, dim, m)
-        stack = np.stack([orthonormal(rng, dim, d) for _ in range(n_protos)])
-        index = [i % n_protos for i in index]
-        systems = principal_system(doc, stack)
-        taken = systems.take(index)
-        for field in ("cosines", "doc_directions", "proto_directions", "right_vectors"):
-            assert getattr(taken, field).tobytes() == getattr(systems, field)[index].tobytes()
-        single = systems.take(index[0])
-        assert single.doc_directions.tobytes() == systems.doc_directions[index[0]].tobytes()
-
     @pytest.mark.parametrize("dim,m,d", [(300, 23, 50), (300, 30, 300), (50, 40, 10)])
     def test_taken_gradient_matches_per_matrix_calls_at_full_size(self, dim, m, d):
         # The hypothesis shapes are too small to show it: at these sizes the
-        # gradient's matrix product rounds differently when the right
-        # singular vectors are copied into another memory layout.
+        # gradient's matrix product rounds differently when the winners'
+        # factors are copied into another memory layout.
         rng = np.random.default_rng(7)
         doc = orthonormal(rng, dim, m)
         stack = np.stack([orthonormal(rng, dim, d) for _ in range(3)])
         weights = np.full(d, 1.0 / d)
-        pair = [2, 0]
-        grads = distance_gradient_basis(principal_system(doc, stack).take(pair), weights, CHORDAL)
-        for grad, p in zip(grads, pair):
+        mask = np.array([False, False, True])
+        pair, _, _, grads, _ = _sample_step(doc, stack, mask.tolist(), weights, 5.0, CHORDAL)
+        winners = old_sample_terms(old_distances(doc, list(stack), weights, CHORDAL), mask, 5.0)[:2]
+        assert pair.tolist() == list(winners)
+        for grad, p in zip(grads, winners):
             expected = old_gradient_basis(old_principal_system(doc, stack[p]), weights, CHORDAL)
             assert grad.tobytes() == expected.tobytes()
 
