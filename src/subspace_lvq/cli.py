@@ -102,7 +102,7 @@ _FLAGS = {
     "out": _Flag(str, None, "output directory"),
     "scored": _Flag(str, None, "scored-cases CSV (from score-corpus/rank)"),
     "annotations": _Flag(str, None, "annotation JSON-lines file"),
-    "d": _Flag(int, 50, "subspace dimension"),
+    "d": _Flag(int, TrainConfig.subspace_dim, "subspace dimension"),
     "beta": _Flag(float, TrainConfig.beta, "sigmoid slope"),
     "distance": _Flag(str, TrainConfig.distance_kind, "distance kind", DISTANCE_KINDS),
     "epochs": _Flag(int, TrainConfig.epochs, "training epochs"),
@@ -125,7 +125,7 @@ _FLAGS = {
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Flat ``key = value`` file; ``#`` comments and blank lines ignored."""
+    """Flat ``key = value`` file; ``#`` comments and blank lines ignored, each key at most once."""
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -141,6 +141,8 @@ def read_config_file(path) -> dict[str, str]:
         key = key.strip().replace("-", "_")
         if key not in _FLAGS:
             raise UsageError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise UsageError(f"{path}:{lineno}: config key {key!r} is set twice")
         values[key] = value.strip()
     return values
 

@@ -77,18 +77,18 @@ def ingest(path) -> list[CaseRecord]:
                 raise FormatError("empty case text", path=file)
             records.append(CaseRecord(case_id=file.stem, text=text))
     else:
+        seen: set[str] = set()   # a directory cannot repeat a file stem
         with reading(path, "corpus"), path.open("r", encoding="utf-8") as handle:
             for lineno, line in enumerate(handle, start=1):
                 if not line.strip():
                     continue
-                records.append(_parse_record(line, path, lineno))
+                rec = _parse_record(line, path, lineno)
+                if rec.case_id in seen:
+                    raise DataError(f"{path}:{lineno}: duplicate case id {rec.case_id!r}")
+                seen.add(rec.case_id)
+                records.append(rec)
     if not records:
         raise DataError(f"{path}: empty corpus")
-    seen = set()
-    for rec in records:
-        if rec.case_id in seen:
-            raise DataError(f"duplicate case id {rec.case_id!r}")
-        seen.add(rec.case_id)
     return records
 
 
@@ -368,20 +368,25 @@ def write_csv(table, path) -> None:
         write_csv(table, handle)
 
 
+_SCORED_HEADER = ["case_id", "score", "percentile", "predicted_label"]
+
+
 def write_scored(scored: list[ScoredCase], path) -> None:
     """CSV with case_id, score (17 significant digits), percentile, label; see :func:`write_csv`."""
     rows = ([s.case_id, format(s.score, ".17g"),
              "" if s.percentile is None else format(s.percentile, ".17g"), s.predicted_label]
             for s in scored)
-    write_csv((["case_id", "score", "percentile", "predicted_label"], rows), path)
+    write_csv((_SCORED_HEADER, rows), path)
 
 
 def read_scored(path) -> list[ScoredCase]:
     """Read a :func:`write_scored` file, checking every row.
 
-    A case id must be non-empty and unique, a score a finite value in
-    [0, 1], and a percentile, when present, a finite value in [0, 100].
-    A row that breaks a rule raises :class:`FormatError` naming its line.
+    The header must be exactly the four columns :func:`write_scored`
+    writes, and every row must have four fields.  A case id must be
+    non-empty and unique, a score a finite value in [0, 1], and a
+    percentile, when present, a finite value in [0, 100].  A row that
+    breaks a rule raises :class:`FormatError` naming its line.
     """
     path = Path(path)
     out = []
@@ -389,11 +394,14 @@ def read_scored(path) -> list[ScoredCase]:
     with reading(path, "scored file"), path.open("r", encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header is None or header[:2] != ["case_id", "score"]:
+        if header != _SCORED_HEADER:
             raise FormatError("not a scored-cases file", path=path)
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
+            if len(row) != len(_SCORED_HEADER):
+                raise FormatError(f"malformed row: {len(row)} fields, expected "
+                                  f"{len(_SCORED_HEADER)}", path=path, line=lineno)
             try:
                 case = ScoredCase(
                     case_id=row[0],
@@ -401,7 +409,7 @@ def read_scored(path) -> list[ScoredCase]:
                     percentile=float(row[2]) if row[2] else None,
                     predicted_label=row[3],
                 )
-            except (IndexError, ValueError) as exc:
+            except ValueError as exc:
                 raise FormatError(f"malformed row: {exc}", path=path, line=lineno) from exc
             # The ranges are tested as "not inside", so NaN fails them too.
             if not case.case_id:
@@ -439,7 +447,7 @@ def read_annotations(path) -> dict[str, bool]:
                 raise FormatError("annotation fields must be a string and a boolean",
                                   path=path, line=lineno)
             if case_id in out:
-                raise DataError(f"duplicate annotation for {case_id!r}")
+                raise DataError(f"{path}:{lineno}: duplicate annotation for {case_id!r}")
             out[case_id] = positive
     return out
 

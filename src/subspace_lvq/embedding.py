@@ -47,15 +47,34 @@ _SLICE = (1 << 20) // 8
 _HASH_CHUNK = 1 << 18
 
 
-class RowMap(Mapping):
-    """Read-only word -> vector mapping over the rows of one ``(V, D)`` matrix.
+@dataclass(frozen=True)
+class EmbeddingTable(Mapping):
+    """Immutable, read-only word -> vector mapping over one ``(V, D)`` matrix.
 
-    ``rows`` maps each word to its row; every value is a view of that row.
+    Safe to share across threads once loaded.  ``rows`` maps each word to
+    its row of ``matrix``, and each value is a float64 view of that row.
+    Neither field is shown by ``repr``: a table may hold hundreds of
+    thousands of words.
     """
 
-    def __init__(self, rows: dict[str, int], matrix: np.ndarray):
-        self.rows = rows
-        self.matrix = matrix
+    rows: dict[str, int] = field(repr=False)
+    matrix: np.ndarray = field(repr=False)
+
+    @classmethod
+    def from_vectors(cls, dim: int, vectors: Mapping[str, np.ndarray]) -> EmbeddingTable:
+        """Stack a word -> vector mapping, in its order, into one table."""
+        matrix = np.array(list(vectors.values()), dtype=np.float64)
+        return cls({word: row for row, word in enumerate(vectors)},
+                   matrix.reshape(len(vectors), dim))
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
+
+    @property
+    def entries(self) -> EmbeddingTable:
+        """The table itself, for ``perfbench/workloads.py``, which reads it as a mapping."""
+        return self
 
     def __getitem__(self, word: str) -> np.ndarray:
         return self.matrix[self.rows[word]]
@@ -68,45 +87,6 @@ class RowMap(Mapping):
 
     def __len__(self) -> int:
         return len(self.rows)
-
-
-@dataclass(frozen=True)
-class EmbeddingTable:
-    """Immutable word -> vector map of fixed dimension.
-
-    Safe to share across threads once loaded; vectors are float64 and all
-    have length ``dim``.  ``entries`` is a :class:`RowMap`: ``matrix`` is
-    the ``(V, D)`` table, ``rows`` maps each word to its row, and each
-    value is a row view.  Any other mapping given as ``entries`` is
-    stacked into one.
-    """
-
-    dim: int
-    entries: Mapping[str, np.ndarray]
-
-    def __post_init__(self):
-        if not isinstance(self.entries, RowMap):
-            matrix = np.array(list(self.entries.values()), dtype=np.float64)
-            object.__setattr__(self, "entries", RowMap(
-                {word: row for row, word in enumerate(self.entries)},
-                matrix.reshape(len(self.entries), self.dim)))
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.entries.matrix
-
-    @property
-    def rows(self) -> dict[str, int]:
-        return self.entries.rows
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def vector(self, word: str) -> np.ndarray | None:
-        return self.entries.get(word)
 
 
 @dataclass
@@ -187,7 +167,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         raise DimensionError(
             f"{path}: embedding dimension {dim} does not match expected {expected_dim}"
         )
-    return EmbeddingTable(dim=dim, entries=RowMap(rows, matrix))
+    return EmbeddingTable(rows, matrix)
 
 
 def _read_hit(path: Path, cache: Path):
@@ -396,7 +376,7 @@ def save_embeddings(table: EmbeddingTable, path) -> None:
     """Write a table back to the text format, bit-exactly round-trippable."""
     path = Path(path)
     with path.open("w", encoding="utf-8") as handle:
-        for word, vec in table.entries.items():
+        for word, vec in table.items():
             handle.write(word + " " + " ".join(repr(float(v)) for v in vec) + "\n")
 
 

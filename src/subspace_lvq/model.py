@@ -62,11 +62,11 @@ class Prototype:
     label: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class TrainConfig:
     """Training options and the CLI's defaults; one that breaks a rule cannot be built."""
 
-    subspace_dim: int
+    subspace_dim: int = 50
     seed: int
     beta: float = 5.0
     distance_kind: str = CHORDAL

@@ -54,7 +54,7 @@ def generate(
     for word in vocab:
         vec = rng.standard_normal(dim)
         entries[word] = vec / np.linalg.norm(vec)
-    table = EmbeddingTable(dim=dim, entries=entries)
+    table = EmbeddingTable.from_vectors(dim, entries)
 
     records = []
     lo, hi = doc_length

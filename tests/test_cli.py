@@ -120,6 +120,21 @@ class TestScoringFlow:
                                                 ["z1", "document 'z1': zero word matrix"]]
         assert len(read_scored(out / "scored.csv")) == 3
 
+    def test_document_of_stop_words_is_skipped(self, workspace, tmp_path):
+        data = workspace["data"]
+        corpus = tmp_path / "corpus.jsonl"
+        kept = (data / "corpus.jsonl").read_text().splitlines()[:3]
+        corpus.write_text("\n".join(kept) + "\n"
+                          + json.dumps({"case_id": "s1", "text": "The and of the"}) + "\n")
+        out = tmp_path / "scored"
+        assert main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(corpus), "--embeddings", str(data / "embeddings.txt"),
+                     "--positive-label", "topic_a", "--out", str(out)]) == 0
+        with (out / "skipped.csv").open() as handle:
+            assert list(csv.reader(handle)) == [
+                ["case_id", "reason"], ["s1", "document 's1' is empty after preprocessing"]]
+        assert len(read_scored(out / "scored.csv")) == 3
+
     def test_rank_three_case_file(self, tmp_path, capsys):
         path = tmp_path / "scored.csv"
         path.write_text(
@@ -208,6 +223,11 @@ class TestGradCheckCommand:
         assert "max_relative_error" in out
         assert "grad_check PASS" in out
 
+    def test_error_above_tolerance_fails(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "run_gradient_checks", lambda base_seed: ([], 1.0, 0.0))
+        assert main(["grad-check"]) == 1
+        assert "grad_check FAIL (tolerance 1e-05)" in capsys.readouterr().out
+
 
 class TestConfigAndErrors:
     def test_config_file_supplies_options_and_flags_win(self, tmp_path, workspace):
@@ -258,6 +278,12 @@ class TestConfigAndErrors:
         config = tmp_path / "bad.conf"
         config.write_text("# comment\nseed 1\n")
         with pytest.raises(UsageError, match="bad.conf:2: expected 'key = value'"):
+            read_config_file(config)
+
+    def test_config_key_set_twice(self, tmp_path):
+        config = tmp_path / "twice.conf"
+        config.write_text("seed = 1\nepochs = 3\nseed = 2\n")
+        with pytest.raises(UsageError, match="twice.conf:3: config key 'seed' is set twice"):
             read_config_file(config)
 
     def test_missing_seed_is_usage_error(self, workspace, tmp_path, capsys):
@@ -315,6 +341,16 @@ class TestDimensionMismatch:
 
 
 class TestFailedRuns:
+    def test_evaluate_on_an_unlabeled_record(self, workspace, tmp_path, capsys):
+        corpus = tmp_path / "unlabeled.jsonl"
+        corpus.write_text((workspace["run"] / "test.jsonl").read_text()
+                          + json.dumps({"case_id": "u1", "text": "shared001 shared002"}) + "\n")
+        code = main(["evaluate", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(corpus),
+                     "--embeddings", str(workspace["data"] / "embeddings.txt")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: data: record 'u1' lacks a label\n"
+
     def test_format_error_finalizes_manifest_as_failed(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad_emb.txt"
         bad.write_text("word 1.0 oops\n")

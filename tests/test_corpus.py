@@ -45,6 +45,13 @@ class TestIngest:
         with pytest.raises(DataError, match="dup"):
             ingest(path)
 
+    def test_duplicate_id_names_its_line(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        lines = [json.dumps({"case_id": c, "text": "x"}) for c in ("dup", "other", "dup")]
+        path.write_text(lines[0] + "\n\n" + lines[1] + "\n" + lines[2] + "\n")
+        with pytest.raises(DataError, match=r"corpus.jsonl:4: duplicate case id 'dup'"):
+            ingest(path)
+
     def test_directory_of_text_files(self, tmp_path):
         for name in ["c1", "c2", "c3"]:
             (tmp_path / f"{name}.txt").write_text(f"text of {name}")
@@ -239,6 +246,10 @@ class TestSampling:
         with pytest.raises(DataError):
             sample_for_annotation(ranked, [(10.0, 30.0), (20.0, 40.0)], per_band=1, seed=0)
 
+    def test_unranked_cases_rejected(self):
+        with pytest.raises(DataError, match="cases must be ranked before sampling"):
+            sample_for_annotation(scored([0.2, 0.8]), [(0.0, 100.0)], per_band=1, seed=0)
+
 
 class TestOptionRules:
     """The band and train-fraction rules that the CLI applies to its options."""
@@ -267,6 +278,10 @@ class TestOptionRules:
 
 
 class TestCalibrate:
+    def test_unranked_cases_rejected(self):
+        with pytest.raises(DataError, match="cases must be ranked before calibration"):
+            calibrate(scored([0.2, 0.8]), {"c0": True}, [(0.0, 100.0)])
+
     def test_all_positive_annotations(self):
         ranked = rank(scored([0.9, 0.7, 0.5, 0.3]))
         annotations = {s.case_id: True for s in ranked}
@@ -435,6 +450,20 @@ class TestScoredFiles:
     def test_short_row_rejected(self, tmp_path):
         self.rejected_at_line_3(tmp_path, "b,0.5", "malformed row")
 
+    def test_non_numeric_score_rejected(self, tmp_path):
+        self.rejected_at_line_3(tmp_path, "b,high,40,pos", "malformed row: could not convert")
+
+    @pytest.mark.parametrize("extra", [",x", ",x,y"])
+    def test_row_with_extra_fields_rejected(self, tmp_path, extra):
+        self.rejected_at_line_3(tmp_path, "b,0.5,40,pos" + extra, "malformed row")
+
+    def test_extra_header_column_rejected(self, tmp_path):
+        path = tmp_path / "scored.csv"
+        path.write_text("case_id,score,percentile,predicted_label,extra\n"
+                        "a,0.9,50,pos,x\nb,0.5,40,pos,x,y\n")
+        with pytest.raises(FormatError, match="scored.csv: not a scored-cases file"):
+            read_scored(path)
+
     def test_wrong_header_rejected(self, tmp_path):
         path = tmp_path / "scored.csv"
         path.write_text("case_id,probability,percentile,predicted_label\na,0.9,50,pos\n")
@@ -474,12 +503,19 @@ class TestScoredFiles:
         with pytest.raises(DataError, match="duplicate annotation for 'a'"):
             read_annotations(path)
 
+    def test_repeated_annotation_names_its_line(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"case_id": "a", "positive": true}\n\n'
+                        '{"case_id": "a", "positive": false}\n')
+        with pytest.raises(DataError, match="ann.jsonl:3: duplicate annotation for 'a'"):
+            read_annotations(path)
+
 
 class TestDimensionGuards:
     def test_batch_score_rejects_mismatched_table(self, trained):
         from subspace_lvq.embedding import EmbeddingTable
         from subspace_lvq.errors import DimensionError
-        small = EmbeddingTable(dim=3, entries={"w": np.zeros(3)})
+        small = EmbeddingTable.from_vectors(3, {"w": np.zeros(3)})
         with pytest.raises(DimensionError):
             batch_score([CaseRecord("c", "w")], trained.model, small,
                         trained.stoplist, "topic_a")

@@ -34,7 +34,18 @@ class TestLoadEmbeddings:
         table = load_embeddings(path)
         assert table.dim == 2
         assert len(table) == 2
-        np.testing.assert_array_equal(table.vector("a"), [1.0, 0.0])
+        np.testing.assert_array_equal(table.get("a"), [1.0, 0.0])
+
+    def test_from_no_vectors(self):
+        table = EmbeddingTable.from_vectors(3, {})
+        assert table.dim == 3
+        assert len(table) == 0
+
+    def test_repr_shows_no_words_or_values(self):
+        """A traceback or log line that shows a table must not print the table."""
+        words = 20_000   # the embload workload's table: 20k words x 300
+        table = EmbeddingTable({f"w{i}": i for i in range(words)}, np.zeros((words, 300)))
+        assert len(repr(table)) < 200
 
     def test_expected_dim_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
@@ -50,10 +61,10 @@ class TestLoadEmbeddings:
         reloaded = load_embeddings(path)
         assert set(reloaded.entries) == set(corpus.table.entries)
         for word, vec in corpus.table.entries.items():
-            np.testing.assert_array_equal(reloaded.vector(word), vec)
+            np.testing.assert_array_equal(reloaded.get(word), vec)
 
     def test_save_load_idempotent_on_entries(self, tmp_path):
-        table = EmbeddingTable(dim=3, entries={
+        table = EmbeddingTable.from_vectors(3, {
             "x": np.array([0.1, -0.25, 1e-17]),
             "y": np.array([1.0, 2.0, 3.0]),
         })
@@ -91,7 +102,7 @@ class TestLoadEmbeddings:
         path.write_text("a 1.0\na 2.0\n")
         with caplog.at_level("WARNING"):
             table = load_embeddings(path)
-        assert table.vector("a")[0] == 2.0
+        assert table.get("a")[0] == 2.0
         assert any("duplicate" in rec.message for rec in caplog.records)
 
 
@@ -147,7 +158,7 @@ class TestStopwords:
 
 class TestEmbed:
     def table(self):
-        return EmbeddingTable(dim=2, entries={
+        return EmbeddingTable.from_vectors(2, {
             "court": np.array([1.0, 0.0]),
             "home": np.array([0.0, 1.0]),
         })
@@ -182,7 +193,7 @@ class TestEmbed:
     @settings(max_examples=100, deadline=None)
     def test_columns_match_table_lookup(self, words):
         rng = np.random.default_rng(0)
-        table = EmbeddingTable(dim=3, entries={
+        table = EmbeddingTable.from_vectors(3, {
             w: rng.standard_normal(3) for w in ["court", "home", "law"]})
         doc = preprocess("p", " ".join(words), frozenset())
         known = [w for w in words if w in table.entries]
@@ -193,7 +204,7 @@ class TestEmbed:
         matrix = embed(doc, table)
         assert matrix.tokens == known
         for j, word in enumerate(matrix.tokens):
-            np.testing.assert_array_equal(matrix.columns[:, j], table.vector(word))
+            np.testing.assert_array_equal(matrix.columns[:, j], table.get(word))
 
 
 def cache_of(path):
@@ -241,7 +252,7 @@ class TestEmbeddingCache:
             assert_same_table(parsed, cached)
             assert list(parsed.entries) == list(expected)
             for word, values in expected.items():
-                assert parsed.vector(word).tobytes() == np.array(values).tobytes()
+                assert parsed.get(word).tobytes() == np.array(values).tobytes()
             for table in (parsed, cached):   # rows of one contiguous (V, D) matrix
                 addresses = [v.__array_interface__["data"][0] for v in table.entries.values()]
                 assert addresses == [addresses[0] + 8 * table.dim * i
@@ -265,7 +276,7 @@ class TestEmbeddingCache:
         old_cache = cache_of(path).read_bytes()
         path.write_text("a 1.0 0.5\nb 0.0 2.0\nc 3.0 3.0\n")
         table = load_embeddings(path)
-        assert table.vector("b")[1] == 2.0 and "c" in table
+        assert table.get("b")[1] == 2.0 and "c" in table
         assert cache_of(path).read_bytes() != old_cache
         assert_same_table(table, load_embeddings(path))
 
@@ -364,7 +375,7 @@ class TestEmbeddingCache:
         monkeypatch.setattr(atomic.os, "open", refuse)
         with caplog.at_level("WARNING"):
             table = load_embeddings(path)
-        assert table.vector("b")[1] == 1.0
+        assert table.get("b")[1] == 1.0
         assert any("cannot write embedding cache" in rec.message for rec in caplog.records)
         assert list(tmp_path.iterdir()) == [path]
 
@@ -372,7 +383,7 @@ class TestEmbeddingCache:
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.5\n")
         cache_of(path).mkdir()   # the rename onto the cache path fails
-        assert load_embeddings(path).vector("a")[1] == 0.5
+        assert load_embeddings(path).get("a")[1] == 0.5
         assert sorted(tmp_path.iterdir()) == [path, cache_of(path)]
         assert cache_of(path).is_dir() and not any(cache_of(path).iterdir())
 
@@ -388,7 +399,7 @@ class TestEmbeddingCache:
             table = load_embeddings(path, expected_dim=2)
         assert [rec.getMessage() for rec in caplog.records] == [
             f"{path}: 2 duplicate words, last occurrence kept"]
-        np.testing.assert_array_equal(table.vector("a"), [5.0, 6.0])
+        np.testing.assert_array_equal(table.get("a"), [5.0, 6.0])
         with pytest.raises(DimensionError, match="dimension 2 does not match expected 3"):
             load_embeddings(path, expected_dim=3)
 
@@ -467,8 +478,8 @@ class TestEmbeddingCacheThreaded(TestEmbeddingCache):
 def test_large_table_hit_is_bit_identical_to_parse(tmp_path, monkeypatch):
     """A table above the real read chunk takes the threaded path with its own buffer size."""
     rng = np.random.default_rng(3)
-    table = EmbeddingTable(dim=40, entries={f"w{i}": rng.standard_normal(40)
-                                            for i in range(1500)})
+    table = EmbeddingTable.from_vectors(40, {f"w{i}": rng.standard_normal(40)
+                                             for i in range(1500)})
     path = tmp_path / "emb.txt"
     save_embeddings(table, path)
     assert path.stat().st_size > embedding._CHUNK
@@ -486,8 +497,8 @@ def test_large_table_hit_is_bit_identical_to_parse(tmp_path, monkeypatch):
 def test_hit_holds_the_matrix_and_one_read_slice(tmp_path):
     """A whole-matrix temporary (such as np.isfinite's, matrix.nbytes / 8) fails this."""
     rng = np.random.default_rng(4)
-    table = EmbeddingTable(dim=2000, entries={f"w{i}": rng.standard_normal(2000)
-                                              for i in range(300)})
+    table = EmbeddingTable.from_vectors(2000, {f"w{i}": rng.standard_normal(2000)
+                                               for i in range(300)})
     path = tmp_path / "emb.txt"
     save_embeddings(table, path)
     load_embeddings(path)

@@ -62,7 +62,7 @@ class TestWordImpacts:
             ["p", "c"],
             relevances=np.array([0.5, 0.3, 0.2]),
         )
-        table = EmbeddingTable(dim=dim, entries={
+        table = EmbeddingTable.from_vectors(dim, {
             f"w{i}": rng.standard_normal(dim) for i in range(5)})
         tokens = [f"w{i}" for i in range(5)]
         matrix = word_matrix(tokens, table)
@@ -94,7 +94,7 @@ class TestWordImpacts:
         dim, d = 10, 3
         model = tiny_model(
             [qr_retract(rng.standard_normal((dim, d))) for _ in range(2)], ["p", "c"])
-        table = EmbeddingTable(dim=dim, entries={
+        table = EmbeddingTable.from_vectors(dim, {
             f"w{i}": rng.standard_normal(dim) for i in range(8)})
         tokens = [f"w{i}" for i in range(8)]
         matrix = word_matrix(tokens, table)
@@ -114,7 +114,7 @@ class TestWordImpacts:
         dim, d = 6, 2
         model = tiny_model(
             [qr_retract(rng.standard_normal((dim, d))) for _ in range(2)], ["p", "c"])
-        table = EmbeddingTable(dim=dim, entries={
+        table = EmbeddingTable.from_vectors(dim, {
             "dup": rng.standard_normal(dim), "other": rng.standard_normal(dim)})
         single = word_matrix(["dup", "other"], table)
         doubled = word_matrix(["dup", "other", "dup"], table)
@@ -130,7 +130,7 @@ class TestWordImpacts:
         rng = np.random.default_rng(3)
         dim, d = 9, 3
         bases = [qr_retract(rng.standard_normal((dim, d))) for _ in range(2)]
-        table = EmbeddingTable(dim=dim, entries={
+        table = EmbeddingTable.from_vectors(dim, {
             f"w{i}": rng.standard_normal(dim) for i in range(6)})
         matrix = word_matrix(list(table.entries), table)
         doc = compute_subspace(matrix, d=d)
@@ -149,8 +149,8 @@ class TestWordImpacts:
         model = tiny_model(
             [qr_retract(rng.standard_normal((dim, d))) for _ in range(2)], ["p", "c"])
         vec = rng.standard_normal(dim)
-        table = EmbeddingTable(dim=dim, entries={"bbb": vec, "aaa": vec.copy(),
-                                                 "zzz": rng.standard_normal(dim)})
+        table = EmbeddingTable.from_vectors(dim, {"bbb": vec, "aaa": vec.copy(),
+                                                  "zzz": rng.standard_normal(dim)})
         matrix = word_matrix(["bbb", "aaa", "zzz"], table)
         doc = compute_subspace(matrix, d=d)
         impacts = word_impacts(matrix, doc, model)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from subspace_lvq.errors import NotOrthonormalError
+from subspace_lvq.errors import NotOrthonormalError, NumericError
 from subspace_lvq.geometry import (
     CHORDAL,
     GEODESIC,
@@ -203,6 +203,12 @@ class TestRetraction:
         np.testing.assert_array_equal(q1, q2)
         r = q1.T @ mat
         assert np.all(np.diag(r) > 0)
+
+    def test_rank_deficient_matrix_rejected(self):
+        mat = np.zeros((4, 2))
+        mat[0, 0] = 1.0   # the second column is zero, and so is R's second diagonal entry
+        with pytest.raises(NumericError, match="rank-deficient update"):
+            qr_retract(mat)
 
     def test_sign_normalize_makes_largest_entry_positive(self):
         basis = np.array([[0.6, -0.8], [-0.8, -0.6]])

@@ -1,12 +1,13 @@
 """Learning core: cost, classification, training, scoring, baseline."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
 import pytest
 
-from subspace_lvq.errors import DataError, DegenerateSampleError, DimensionError
+from subspace_lvq.errors import DataError, DegenerateSampleError, DimensionError, NumericError
 from subspace_lvq.geometry import (
     CHORDAL,
     GEODESIC,
@@ -19,6 +20,8 @@ from subspace_lvq.model import (
     ModelState,
     Prototype,
     TrainConfig,
+    _pass_stats,
+    _sample_step,
     centroid_predict,
     centroid_train,
     classify,
@@ -99,6 +102,12 @@ class TestClassify:
         assert label == "a"
         assert dists[0] == pytest.approx(0.0, abs=1e-12)
         assert dists[1] == pytest.approx(1.0, abs=1e-12)
+
+    def test_document_of_another_dimension_rejected(self):
+        model = tiny_model([np.eye(4)[:, :2], np.eye(4)[:, 2:]], ["a", "b"])
+        with pytest.raises(DimensionError,
+                           match="document dimension 5 does not match model dimension 4"):
+            classify(sub(np.eye(5)[:, :2]), model)
 
     def test_tie_goes_to_lowest_prototype_index(self):
         basis = np.eye(3)[:, :1]
@@ -254,6 +263,13 @@ class TestTrainConfig:
             config.beta = -1.0
         assert config.beta == 5.0
 
+    def test_fields_are_keyword_only_and_seed_is_required(self):
+        assert TrainConfig(seed=0).subspace_dim == 50
+        with pytest.raises(TypeError):
+            TrainConfig(3, 0)
+        with pytest.raises(TypeError, match="seed"):
+            TrainConfig(subspace_dim=3)
+
 
 def separable_toy(d=3):
     """Two orthogonal rank-2 documents in R^8, one per class."""
@@ -310,6 +326,45 @@ class TestTrain:
 
         train(training, TrainConfig(subspace_dim=3, seed=1, epochs=3), update_hook=hook)
         assert len(seen) == 60
+
+    def test_rejects_empty_set(self):
+        with pytest.raises(DataError, match="empty training set"):
+            train([], TrainConfig(subspace_dim=2, seed=0))
+
+    def test_rejects_inconsistent_embedding_dimensions(self):
+        training = [LabeledSubspace(sub(np.eye(4)[:, :2]), "a"),
+                    LabeledSubspace(sub(np.eye(5)[:, :2]), "b")]
+        with pytest.raises(DimensionError,
+                           match=r"inconsistent embedding dimensions in training set: \[4, 5\]"):
+            train(training, TrainConfig(subspace_dim=2, seed=0))
+
+    @pytest.mark.parametrize("kind", [CHORDAL, GEODESIC])
+    def test_sample_at_zero_distance_to_both_winners_is_degenerate(self, kind):
+        basis = np.eye(4)[:, :2]   # exact coordinate bases: every cosine is exactly 1.0
+        stack = np.stack([basis, basis])
+        assert _sample_step(basis, stack, [True, False], np.full(2, 0.5), 5.0, kind) is None
+
+    def test_degenerate_sample_is_skipped_and_counted(self, monkeypatch, caplog):
+        training = separable_toy()
+        skipped = training[0].subspace.basis
+
+        def step(doc_basis, *args):
+            return None if doc_basis is skipped else _sample_step(doc_basis, *args)
+
+        monkeypatch.setattr("subspace_lvq.model._sample_step", step)
+        updates = []
+        with caplog.at_level(logging.WARNING, logger="subspace_lvq.model"):
+            train(training, TrainConfig(subspace_dim=3, seed=0, epochs=2),
+                  update_hook=lambda bases, weights: updates.append(1))
+        assert len(updates) == 2   # the other sample, once per epoch
+        assert "skipped 2 degenerate samples during training" in caplog.text
+
+    def test_every_sample_degenerate_is_a_numeric_error(self):
+        basis = np.eye(4)[:, :2]
+        training = [LabeledSubspace(sub(basis, f"d{i}"), "ab"[i % 2]) for i in range(4)]
+        with pytest.raises(NumericError, match="every training sample is degenerate"):
+            _pass_stats(training, np.stack([basis, basis]), ["a", "b"], np.full(2, 0.5), 5.0,
+                        CHORDAL)
 
     def test_rejects_single_class(self):
         training = [LabeledSubspace(sub(np.eye(4)[:, :2]), "a")]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from subspace_lvq.embedding import WordMatrix
-from subspace_lvq.errors import DataError, DimensionError
+from subspace_lvq.errors import DataError, DimensionError, EmptyDocumentError
 from subspace_lvq.geometry import orthonormality_residual
 from subspace_lvq.subspace import compute_subspace, mean_vector
 
@@ -18,6 +18,10 @@ def matrix_of(columns, doc_id="doc"):
 
 
 class TestComputeSubspace:
+    def test_empty_word_matrix_rejected(self):
+        with pytest.raises(EmptyDocumentError, match="document 'doc': empty word matrix"):
+            compute_subspace(matrix_of(np.empty((4, 0))), d=2)
+
     def test_repeated_column_collapses_to_rank_one(self):
         v = np.array([3.0, 4.0, 0.0])
         sub = compute_subspace(matrix_of(np.column_stack([v, v, v])), d=2)
