@@ -1,4 +1,4 @@
-"""Atomic file replacement.
+"""Atomic file replacement and streaming file hashes.
 
 Shared by the model container and the embedding cache.  Imports nothing
 from the package, so any module can use it without an import cycle.
@@ -7,11 +7,18 @@ from the package, so any module can use it without an import cycle.
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import os
 import uuid
 from pathlib import Path
 
+import numpy as np
+
 _FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+# The hashing buffer.  Hashing a 57 MB file took the same ~40 ms with this
+# and with a 1 MiB buffer, but the 1 MiB one, allocated on the hashing
+# thread, raised peak RSS by about 1 MiB more.
+_HASH_CHUNK = 1 << 18
 
 
 @contextlib.contextmanager
@@ -37,3 +44,15 @@ def atomic_write(path):
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
+
+
+def sha256_file(path) -> str:
+    """Hex SHA-256 of the file at ``path``, read through one reused buffer."""
+    digest = hashlib.sha256()
+    # Unlike bytearray, np.empty leaves the buffer unzeroed, so a small file
+    # touches only the pages it fills.
+    buffer = np.empty(_HASH_CHUNK, dtype=np.uint8)
+    with Path(path).open("rb", buffering=0) as handle:
+        while count := handle.readinto(buffer):
+            digest.update(buffer[:count])
+    return digest.hexdigest()

@@ -7,9 +7,9 @@ annotation sampling, calibration, and an analytic-gradient self check.
 Each subcommand accepts only the flags it reads (``_COMMANDS``).  Options
 may also come from a flat ``key = value`` config file (``--config``), which
 may set any known option; explicit flags win over file values.  :func:`main`
-checks every option (:class:`Options`), then runs the command inside one
-:class:`Run`, which owns the ``--out`` directory and its run manifest.  Logs
-go to stderr; data goes to stdout or files, never interleaved.
+runs each command inside one :class:`Run`, which checks every option and owns
+the ``--out`` directory and its run manifest.  Logs go to stderr; data goes
+to stdout or files, never interleaved.
 """
 
 from __future__ import annotations
@@ -168,28 +168,6 @@ def _resolve(name: str, value, text: str | None):
         raise UsageError(f"{source} {shown!r}: {exc}") from exc
 
 
-class Options:
-    """Each option of a command, resolved once: ``values`` (None if unset, a
-    rejected one left out) and ``error``, the first rejected or missing one."""
-
-    def __init__(self, args: argparse.Namespace):
-        _, _, names, required = _COMMANDS[args.command]
-        file = read_config_file(args.config) if args.config else {}
-        self.command = args.command
-        self.values = {}
-        self.error = None
-        for name in names:
-            try:
-                self.values[name] = _resolve(name, getattr(args, name), file.get(name))
-                if self.values[name] is None and name in required:
-                    raise UsageError(f"missing required option --{name.replace('_', '-')}")
-            except ToolkitError as exc:
-                self.error = self.error or exc
-
-    def get(self, name, default=None):
-        return default if self.values[name] is None else self.values[name]
-
-
 def _utcnow() -> str:
     return datetime.now(timezone.utc).isoformat(timespec="seconds")
 
@@ -199,23 +177,34 @@ def _write_json(obj, path: Path, sort_keys=True) -> None:
 
 
 class Run:
-    """One command's output directory and manifest; :func:`main` starts and ends it.
+    """One command's options, output directory and manifest; :func:`main` starts and ends it.
 
-    With ``--out`` the directory is created and the manifest written, with
-    status "running" and the command's resolved options, before the command
-    reads any input; an option error then ends it as failed.  Commands only
-    name their outputs and set extra manifest fields.  Without ``--out``
-    (where the command does not require it) there is no manifest and
-    :meth:`write` sends the data to stdout.
+    Each option is resolved once (:func:`_resolve`).  With ``--out`` the
+    directory is then created and the manifest written, with status "running"
+    and the resolved options, before the command reads any input; the first
+    rejected or missing option then ends it as failed and is raised.  Commands
+    read options (:meth:`get`), name their outputs and set extra manifest
+    fields.  Without ``--out`` (where the command does not require it) there
+    is no manifest and :meth:`write` sends the data to stdout.
     """
 
-    def __init__(self, opts: Options):
-        out = opts.values.get("out")
+    def __init__(self, args: argparse.Namespace):
+        _, _, names, required = _COMMANDS[args.command]
+        file = read_config_file(args.config) if args.config else {}
+        self.options, error = {}, None
+        for name in names:
+            try:
+                self.options[name] = _resolve(name, getattr(args, name), file.get(name))
+                if self.options[name] is None and name in required:
+                    raise UsageError(f"missing required option --{name.replace('_', '-')}")
+            except ToolkitError as exc:
+                error = error or exc
+        out = self.options.get("out")
         self.out = None if out is None else Path(out)
         if self.out is not None:
             self.manifest = {
-                "command": opts.command,
-                "config": dict(opts.values),
+                "command": args.command,
+                "config": dict(self.options),
                 "started_at": _utcnow(),
                 "status": "running",
                 "outputs": [],
@@ -225,9 +214,12 @@ class Run:
             except OSError as exc:
                 raise UsageError(f"cannot create output directory {self.out}: {exc}") from exc
             _write_json(self.manifest, self.out / "manifest.json")
-        if opts.error is not None:
-            self.end(opts.error)
-            raise opts.error
+        if error is not None:
+            self.end(error)
+            raise error
+
+    def get(self, name, default=None):
+        return default if self.options[name] is None else self.options[name]
 
     def set(self, **fields) -> None:
         """Extra manifest fields, such as counts and checksums."""
@@ -274,23 +266,23 @@ class Run:
             log.warning("cannot finalize %s/manifest.json: %s", self.out, write_exc)
 
 
-def _model_inputs(opts):
+def _model_inputs(run: Run):
     """Model, embedding table, stop words and corpus of a command that applies a model."""
-    model = load_model(opts.get("model"))
-    table = load_embeddings(opts.get("embeddings"), expected_dim=model.embedding_dim)
-    stoplist = load_stopwords(opts.get("stopwords"))
-    return model, table, stoplist, ingest(opts.get("corpus"))
+    model = load_model(run.get("model"))
+    table = load_embeddings(run.get("embeddings"), expected_dim=model.embedding_dim)
+    stoplist = load_stopwords(run.get("stopwords"))
+    return model, table, stoplist, ingest(run.get("corpus"))
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
-def cmd_synth_data(opts: Options, run: Run) -> int:
+def cmd_synth_data(run: Run) -> int:
     corpus = generate_synthetic(
-        docs_per_class=opts.get("docs_per_class"),
-        dim=opts.get("dim"),
-        seed=opts.get("seed"),
+        docs_per_class=run.get("docs_per_class"),
+        dim=run.get("dim"),
+        seed=run.get("seed"),
     )
     paths = write_synthetic(corpus, run.out)
     for path in paths.values():
@@ -300,27 +292,27 @@ def cmd_synth_data(opts: Options, run: Run) -> int:
     return 0
 
 
-def _train_config(opts) -> TrainConfig:
+def _train_config(run: Run) -> TrainConfig:
     return TrainConfig(
-        subspace_dim=opts.get("d"),
-        seed=opts.get("seed"),
-        beta=opts.get("beta"),
-        distance_kind=opts.get("distance"),
-        lr_prototype=opts.get("lr_w"),
-        lr_relevance=opts.get("lr_lambda"),
-        epochs=opts.get("epochs"),
-        prototypes_per_class=opts.get("per_class"),
+        subspace_dim=run.get("d"),
+        seed=run.get("seed"),
+        beta=run.get("beta"),
+        distance_kind=run.get("distance"),
+        lr_prototype=run.get("lr_w"),
+        lr_relevance=run.get("lr_lambda"),
+        epochs=run.get("epochs"),
+        prototypes_per_class=run.get("per_class"),
     )
 
 
-def cmd_train(opts: Options, run: Run) -> int:
-    config = _train_config(opts)
-    table = load_embeddings(opts.get("embeddings"))
-    stoplist = load_stopwords(opts.get("stopwords"))
+def cmd_train(run: Run) -> int:
+    config = _train_config(run)
+    table = load_embeddings(run.get("embeddings"))
+    stoplist = load_stopwords(run.get("stopwords"))
     check_subspace_dim(config.subspace_dim, table.dim)
-    records = ingest(opts.get("corpus"))
+    records = ingest(run.get("corpus"))
 
-    fraction = opts.get("train_fraction")
+    fraction = run.get("train_fraction")
     train_records, test_records = records, None
     if fraction is not None:
         train_records, test_records = split(records, fraction, config.seed)
@@ -328,9 +320,7 @@ def cmd_train(opts: Options, run: Run) -> int:
         run.write("test.jsonl", write_corpus, test_records)
         log.info("split: %d train / %d test", len(train_records), len(test_records))
 
-    examples, skipped = corpus_to_subspaces(train_records, table, stoplist, config.subspace_dim)
-    if skipped:
-        log.warning("%d training records skipped", len(skipped))
+    examples, _ = corpus_to_subspaces(train_records, table, stoplist, config.subspace_dim)
     state = train(examples, config)
 
     model_path = run.write("model.bin", save_model, state)
@@ -343,20 +333,16 @@ def cmd_train(opts: Options, run: Run) -> int:
     print(f"train_accuracy {state.training_log[-1][2]!r}")
 
     if test_records is not None:
-        test_examples, test_skipped = corpus_to_subspaces(
+        test_examples, _ = corpus_to_subspaces(
             test_records, table, stoplist, config.subspace_dim)
-        if test_skipped:
-            log.warning("%d test records skipped", len(test_skipped))
         report = evaluate(state, test_examples)
         print(f"test_accuracy {report.accuracy!r}")
     return 0
 
 
-def cmd_evaluate(opts: Options, run: Run) -> int:
-    state, table, stoplist, records = _model_inputs(opts)
+def cmd_evaluate(run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(run)
     examples, skipped = corpus_to_subspaces(records, table, stoplist, state.subspace_dim)
-    if skipped:
-        log.warning("%d records skipped", len(skipped))
     report = evaluate(state, examples)
     print(f"accuracy {report.accuracy!r}")
     for label in sorted(report.per_class):
@@ -373,8 +359,8 @@ def cmd_evaluate(opts: Options, run: Run) -> int:
     return 0
 
 
-def cmd_predict(opts: Options, run: Run) -> int:
-    state, table, stoplist, records = _model_inputs(opts)
+def cmd_predict(run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(run)
 
     def predict_one(rec):
         _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, state.subspace_dim)
@@ -392,10 +378,10 @@ def cmd_predict(opts: Options, run: Run) -> int:
     return 0
 
 
-def cmd_explain(opts: Options, run: Run) -> int:
-    state, table, stoplist, records = _model_inputs(opts)
-    top_k = opts.get("top_k")
-    positive = opts.get("positive_label")
+def cmd_explain(run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(run)
+    top_k = run.get("top_k")
+    positive = run.get("positive_label")
     if positive is not None:
         check_positive_label(state, positive)
     reports, skipped = map_records(
@@ -408,33 +394,33 @@ def cmd_explain(opts: Options, run: Run) -> int:
     return 0
 
 
-def cmd_score_corpus(opts: Options, run: Run) -> int:
-    state, table, stoplist, records = _model_inputs(opts)
-    scored, skipped = batch_score(records, state, table, stoplist, opts.get("positive_label"))
+def cmd_score_corpus(run: Run) -> int:
+    state, table, stoplist, records = _model_inputs(run)
+    scored, skipped = batch_score(records, state, table, stoplist, run.get("positive_label"))
     ranked = rank(scored)
     path = run.write("scored.csv", write_scored, ranked)
     if skipped:
         run.csv("skipped.csv", ["case_id", "reason"], skipped)
     run.set(scored=len(ranked), skipped=len(skipped))
     print(f"scored {path}")
-    threshold = opts.get("threshold")
+    threshold = run.get("threshold")
     if threshold is not None:
         print(f"above_threshold {count_above(ranked, threshold)}")
     return 0
 
 
-def cmd_rank(opts: Options, run: Run) -> int:
-    ranked = rank(read_scored(opts.get("scored")))
+def cmd_rank(run: Run) -> int:
+    ranked = rank(read_scored(run.get("scored")))
     path = run.write("ranked.csv", write_scored, ranked)
     if path is not None:
         print(f"ranked {path}")
     return 0
 
 
-def cmd_sample(opts: Options, run: Run) -> int:
-    scored = rank(read_scored(opts.get("scored")))
-    sampled = sample_for_annotation(scored, opts.get("bands"), opts.get("per_band"),
-                                    opts.get("seed"))
+def cmd_sample(run: Run) -> int:
+    scored = rank(read_scored(run.get("scored")))
+    sampled = sample_for_annotation(scored, run.get("bands"), run.get("per_band"),
+                                    run.get("seed"))
     path = run.csv("sample.csv", ["band_lo", "band_hi", "case_id"],
                    ([format(lo, "g"), format(hi, "g"), case_id]
                     for (lo, hi), ids in sampled.items() for case_id in ids))
@@ -443,11 +429,11 @@ def cmd_sample(opts: Options, run: Run) -> int:
     return 0
 
 
-def cmd_calibrate(opts: Options, run: Run) -> int:
-    scored = rank(read_scored(opts.get("scored")))
-    annotations = read_annotations(opts.get("annotations"))
-    target = opts.get("target_precision")
-    report = calibrate(scored, annotations, opts.get("bands"), target)
+def cmd_calibrate(run: Run) -> int:
+    scored = rank(read_scored(run.get("scored")))
+    annotations = read_annotations(run.get("annotations"))
+    target = run.get("target_precision")
+    report = calibrate(scored, annotations, run.get("bands"), target)
     path = run.json("calibration.json", {
         "target_precision": report.target_precision,
         "threshold_score": report.threshold_score,
@@ -473,8 +459,8 @@ def cmd_calibrate(opts: Options, run: Run) -> int:
     return 0
 
 
-def cmd_grad_check(opts: Options, run: Run) -> int:
-    seed = opts.get("seed", default=GRAD_CHECK_SEED)
+def cmd_grad_check(run: Run) -> int:
+    seed = run.get("seed", default=GRAD_CHECK_SEED)
     results, worst, elapsed = run_gradient_checks(base_seed=seed)
     for r in results:
         log.info("dim=%d d=%d kind=%s seed=%d rel_error=%.3e",
@@ -537,7 +523,7 @@ def build_parser() -> argparse.ArgumentParser:
             flag = _FLAGS[name]
             tail = (" (required)" if name in required
                     else "" if flag.default is None else f" (default {flag.default})")
-            # argparse applies only the type; Options applies the rest (_resolve).
+            # argparse applies only the type; Run applies the rest (_resolve).
             p.add_argument("--" + name.replace("_", "-"), dest=name, type=flag.type,
                            choices=flag.choices, help=flag.help + tail)
     return parser
@@ -549,9 +535,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     run = None
     try:
-        opts = Options(args)
-        run = Run(opts)
-        code = args.func(opts, run)
+        run = Run(args)
+        code = args.func(run)
     except BaseException as exc:
         if run is not None:
             run.end(exc)

@@ -386,7 +386,7 @@ def read_scored(path) -> list[ScoredCase]:
     writes, and every row must have four fields.  A case id must be
     non-empty and unique, a score a finite value in [0, 1], and a
     percentile, when present, a finite value in [0, 100].  A row that
-    breaks a rule raises :class:`FormatError` naming its line.
+    breaks a rule raises :class:`FormatError` naming the file line it ends on.
     """
     path = Path(path)
     out = []
@@ -396,7 +396,8 @@ def read_scored(path) -> list[ScoredCase]:
         header = next(reader, None)
         if header != _SCORED_HEADER:
             raise FormatError("not a scored-cases file", path=path)
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
+            lineno = reader.line_num
             if not row:
                 continue
             if len(row) != len(_SCORED_HEADER):

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, sha256_file
 from .errors import DimensionError, EmptyDocumentError, FormatError, reading
 
 log = logging.getLogger(__name__)
@@ -41,20 +41,17 @@ _CHUNK = 1 << 20
 # checked while it is in cache, so a hit holds the matrix plus one slice's
 # ``np.isfinite`` temporary.
 _SLICE = (1 << 20) // 8
-# The hashing buffer.  Hashing a 57 MB file took the same ~40 ms with this
-# and with a 1 MiB buffer, but the 1 MiB one, allocated on the hashing
-# thread, raised peak RSS by about 1 MiB more.
-_HASH_CHUNK = 1 << 18
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddingTable(Mapping):
     """Immutable, read-only word -> vector mapping over one ``(V, D)`` matrix.
 
     Safe to share across threads once loaded.  ``rows`` maps each word to
     its row of ``matrix``, and each value is a float64 view of that row.
     Neither field is shown by ``repr``: a table may hold hundreds of
-    thousands of words.
+    thousands of words.  Two tables are equal when they map the same words
+    to equal vectors, in any row order; a table is not hashable.
     """
 
     rows: dict[str, int] = field(repr=False)
@@ -87,6 +84,12 @@ class EmbeddingTable(Mapping):
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __eq__(self, other):
+        if not isinstance(other, Mapping):
+            return NotImplemented
+        return self.keys() == other.keys() and all(
+            np.array_equal(vector, other[word]) for word, vector in self.items())
 
 
 @dataclass
@@ -176,7 +179,7 @@ def _read_hit(path: Path, cache: Path):
     # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
     # stay sequential.
     if path.stat().st_size <= _CHUNK:
-        digest = _sha256(path)
+        digest = sha256_file(path)
         cached = _read_cache(cache)
     else:
         # Imported only here: the module adds ~0.35 MiB of peak RSS,
@@ -184,7 +187,7 @@ def _read_hit(path: Path, cache: Path):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            hashing = pool.submit(_sha256, path)
+            hashing = pool.submit(sha256_file, path)
             cached = _read_cache(cache)
             digest = hashing.result()
     if cached is not None and cached[3] != digest.encode("ascii"):
@@ -211,17 +214,6 @@ class _HashingReader(io.RawIOBase):
     def close(self) -> None:
         self._raw.close()
         super().close()
-
-
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    # Unlike bytearray, np.empty leaves the buffer unzeroed, so a small file
-    # touches only the pages it fills.
-    buffer = np.empty(_HASH_CHUNK, dtype=np.uint8)
-    with path.open("rb", buffering=0) as handle:
-        while count := handle.readinto(buffer):
-            digest.update(buffer[:count])
-    return digest.hexdigest()
 
 
 def _row_capacity(path: Path) -> int:

@@ -105,7 +105,8 @@ def map_records(records, fn) -> tuple[list, list[tuple[str, str]]]:
     """Apply ``fn`` to each record, skipping and logging per-record failures.
 
     Returns the results in input order, and ``(case_id, reason)`` for each
-    record whose ``fn`` raised one of :data:`PER_RECORD_ERRORS`.
+    record whose ``fn`` raised one of :data:`PER_RECORD_ERRORS`.  After the
+    per-record lines, a batch with skips logs one ``skipped N of M records``.
     """
     results = []
     skipped: list[tuple[str, str]] = []
@@ -115,4 +116,6 @@ def map_records(records, fn) -> tuple[list, list[tuple[str, str]]]:
         except PER_RECORD_ERRORS as exc:
             skipped.append((rec.case_id, str(exc)))
             log.warning("skipping %s: %s", rec.case_id, exc)
+    if skipped:
+        log.warning("skipped %d of %d records", len(skipped), len(results) + len(skipped))
     return results, skipped

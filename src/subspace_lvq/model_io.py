@@ -11,7 +11,6 @@ model behind.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, sha256_file
 from .errors import FormatError, reading
 from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, on_simplex, orthonormality_residual
 from .model import ModelState, Prototype
@@ -157,6 +156,4 @@ def load_model(path) -> ModelState:
 
 def model_checksum(path) -> str:
     """SHA-256 of a model file, for run manifests."""
-    digest = hashlib.sha256()
-    digest.update(Path(path).read_bytes())
-    return digest.hexdigest()
+    return sha256_file(path)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import logging
 import shlex
 from pathlib import Path
 
@@ -406,6 +407,25 @@ class TestFailedRuns:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "failed"
         assert manifest["error"] == {"category": "usage", "message": message}
+
+    def test_unwritable_final_manifest_is_a_warning(self, tmp_path, monkeypatch, caplog,
+                                                    capsys):
+        write_json = cli._write_json
+
+        def refuse_failed(obj, path, sort_keys=True):
+            if obj["status"] == "failed":
+                raise OSError("disk full")
+            write_json(obj, path, sort_keys)
+
+        monkeypatch.setattr(cli, "_write_json", refuse_failed)
+        scored, out = tmp_path / "missing.csv", tmp_path / "out"
+        with caplog.at_level(logging.WARNING, logger="subspace_lvq.cli"):
+            assert main(["rank", "--scored", str(scored), "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith(
+            f"error: format: {scored}: cannot read scored file: ")
+        assert [r.getMessage() for r in caplog.records] == [
+            f"cannot finalize {out}/manifest.json: disk full"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "running"
 
     def test_interrupt_finalizes_manifest_and_propagates(self, workspace, tmp_path,
                                                          monkeypatch):

@@ -1,6 +1,7 @@
 """Corpus ingestion, splitting, scoring, ranking, sampling, calibration."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -21,7 +22,8 @@ from subspace_lvq.corpus import (
     write_corpus,
     write_scored,
 )
-from subspace_lvq.errors import DataError, EmptyDocumentError, FormatError, map_records
+from subspace_lvq.errors import (DataError, EmptyDocumentError, FormatError, UsageError,
+                                 map_records)
 from subspace_lvq.model import score
 from subspace_lvq.corpus import check_train_fraction, parse_bands, prepare_document
 
@@ -268,6 +270,15 @@ class TestOptionRules:
             parse_bands(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("text, message", [
+        ("a:b", "band 'a:b': could not convert string to float: 'a'"),
+        (" , ", "no percentile bands given"),
+    ], ids=["not-a-number", "no-bands"])
+    def test_parse_bands_rejects_text_without_numeric_bands(self, text, message):
+        with pytest.raises(UsageError) as err:
+            parse_bands(text)
+        assert str(err.value) == message
+
     @pytest.mark.parametrize("fraction", [0.0, 1.0, 1.5, -0.1, float("nan")])
     def test_train_fraction_outside_open_unit_interval(self, fraction):
         with pytest.raises(DataError, match=r"train fraction must be in \(0, 1\)"):
@@ -404,6 +415,27 @@ class TestMapRecords:
         assert results == ["a"]
         assert skipped == [("b", "document 'b' has no embeddable tokens")]
 
+    @pytest.mark.parametrize("as_generator", [False, True])
+    def test_one_summary_line_after_a_batch_with_skips(self, caplog, as_generator):
+        def fn(rec):
+            if rec.text == "":
+                raise EmptyDocumentError(rec.case_id)
+            return rec.case_id
+
+        records = [CaseRecord("a", "x"), CaseRecord("b", ""), CaseRecord("c", "z"),
+                   CaseRecord("d", "")]
+        with caplog.at_level(logging.WARNING, logger="subspace_lvq.errors"):
+            map_records((r for r in records) if as_generator else records, fn)
+        assert [r.getMessage() for r in caplog.records] == [
+            "skipping b: document 'b' has no embeddable tokens",
+            "skipping d: document 'd' has no embeddable tokens",
+            "skipped 2 of 4 records",
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="subspace_lvq.errors"):
+            map_records(iter(records[::2]) if as_generator else records[::2], fn)
+        assert caplog.records == []
+
     def test_plain_data_error_propagates(self):
         def fn(rec):
             raise DataError("run-level rule")
@@ -456,6 +488,13 @@ class TestScoredFiles:
     @pytest.mark.parametrize("extra", [",x", ",x,y"])
     def test_row_with_extra_fields_rejected(self, tmp_path, extra):
         self.rejected_at_line_3(tmp_path, "b,0.5,40,pos" + extra, "malformed row")
+
+    def test_error_names_the_physical_line_after_a_quoted_newline(self, tmp_path):
+        path = tmp_path / "nl.csv"
+        path.write_text('case_id,score,percentile,predicted_label\n'
+                        '"a\nb",0.9,50,pos\nc,7,40,pos\n')
+        with pytest.raises(FormatError, match=r"nl.csv:4: score '7' is not a finite value"):
+            read_scored(path)
 
     def test_extra_header_column_rejected(self, tmp_path):
         path = tmp_path / "scored.csv"

@@ -47,6 +47,16 @@ class TestLoadEmbeddings:
         table = EmbeddingTable({f"w{i}": i for i in range(words)}, np.zeros((words, 300)))
         assert len(repr(table)) < 200
 
+    def test_tables_compare_by_words_and_vectors(self):
+        vectors = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        table = EmbeddingTable.from_vectors(2, vectors)
+        assert table == EmbeddingTable.from_vectors(2, dict(vectors))
+        assert table != EmbeddingTable.from_vectors(2, {**vectors, "b": np.array([0.0, 2.0])})
+        assert table != EmbeddingTable.from_vectors(2, {**vectors, "c": np.array([1.0, 1.0])})
+        assert table == EmbeddingTable.from_vectors(2, dict(reversed(vectors.items())))
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(table)
+
     def test_expected_dim_mismatch(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.0\nb 0.0 1.0\n")
@@ -96,6 +106,13 @@ class TestLoadEmbeddings:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FormatError):
             load_embeddings(tmp_path / "nope.txt")
+
+    def test_more_rows_than_counted_is_a_format_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.0\nb 0.0 1.0\n")
+        monkeypatch.setattr(embedding, "_row_capacity", lambda path: 1)
+        with pytest.raises(FormatError, match="emb.txt: file changed while it was read"):
+            load_embeddings(path)
 
     def test_duplicate_words_last_wins(self, tmp_path, caplog):
         path = tmp_path / "emb.txt"
@@ -350,13 +367,13 @@ class TestEmbeddingCache:
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
         calls = []
-        sha256 = embedding._sha256
+        sha256 = embedding.sha256_file
 
         def spy(path):
             calls.append(path)
             return sha256(path)
 
-        monkeypatch.setattr(embedding, "_sha256", spy)
+        monkeypatch.setattr(embedding, "sha256_file", spy)
         parsed = load_embeddings(path)
         assert calls == [] and cache_of(path).exists()
         assert_same_table(parsed, load_embeddings(path))
@@ -463,13 +480,13 @@ class TestEmbeddingCacheThreaded(TestEmbeddingCache):
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
         load_embeddings(path)
         threads = []
-        sha256 = embedding._sha256
+        sha256 = embedding.sha256_file
 
         def spy(path):
             threads.append(threading.current_thread())
             return sha256(path)
 
-        monkeypatch.setattr(embedding, "_sha256", spy)
+        monkeypatch.setattr(embedding, "sha256_file", spy)
         load_embeddings(path)
         assert len(threads) == 1 and threads[0] is not threading.main_thread()
         assert not threads[0].is_alive()

@@ -10,6 +10,7 @@ from subspace_lvq.errors import NotOrthonormalError, NumericError
 from subspace_lvq.geometry import (
     CHORDAL,
     GEODESIC,
+    distance_gradient_basis,
     distance_gradient_weights,
     orthonormality_residual,
     principal_angles,
@@ -40,6 +41,11 @@ def grid_max_cosine(basis_a, basis_b, n=3000):
 
 
 class TestPrincipalAngles:
+    def test_stacked_basis_rejected(self):
+        basis = np.eye(4)[:, :2]
+        with pytest.raises(NotOrthonormalError, match="document basis must be a 2-d matrix"):
+            principal_angles(np.stack([basis, basis]), basis)
+
     def test_identical_bases_give_unit_cosines(self):
         rng = np.random.default_rng(0)
         basis = random_orthonormal(6, 3, rng)
@@ -107,6 +113,19 @@ class TestPrincipalAngles:
 
 
 class TestWeightedDistance:
+    def test_unknown_kind_rejected(self):
+        basis = np.eye(4)[:, :2]
+        angles = principal_system(basis, basis)
+        weights = np.full(2, 0.5)
+        with pytest.raises(ValueError, match="unknown distance kind 'cosine'"):
+            weighted_distance(angles.cosines, weights, "cosine")
+        with pytest.raises(ValueError, match="unknown distance kind 'cosine'"):
+            distance_gradient_basis(angles, basis, weights, "cosine")
+
+    def test_more_cosines_than_weights_rejected(self):
+        with pytest.raises(NumericError, match=r"more principal angles \(3\) than weights \(2\)"):
+            weighted_distance(np.ones(3), np.full(2, 0.5), CHORDAL)
+
     def test_identical_subspaces_distance_zero(self):
         rng = np.random.default_rng(4)
         basis = random_orthonormal(10, 4, rng)

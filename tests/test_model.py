@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from subspace_lvq import model
 from subspace_lvq.errors import DataError, DegenerateSampleError, DimensionError, NumericError
 from subspace_lvq.geometry import (
     CHORDAL,
@@ -280,6 +281,15 @@ def separable_toy(d=3):
 
 
 class TestTrain:
+    @pytest.mark.parametrize("step, message", [
+        ("qr_retract", "non-finite prototype update at epoch 1, sample 'a0'"),
+        ("project_simplex", "non-finite relevance update at epoch 1"),
+    ])
+    def test_non_finite_update_is_a_numeric_error(self, monkeypatch, step, message):
+        monkeypatch.setattr(model, step, lambda values: np.full(values.shape, np.nan))
+        with pytest.raises(NumericError, match=message):
+            train(separable_toy(), TrainConfig(subspace_dim=3, seed=0, epochs=1))
+
     def test_separable_toy_one_epoch(self):
         training = separable_toy()
         config = TrainConfig(subspace_dim=3, seed=0, epochs=1)
@@ -505,6 +515,14 @@ class TestEvaluate:
 
 
 class TestCentroidBaseline:
+    @pytest.mark.parametrize("vectors, labels, message", [
+        (np.zeros((0, 3)), [], "needs a nonempty"),
+        (np.zeros((2, 3)), ["a"], "disagree in length"),
+    ])
+    def test_bad_input_rejected(self, vectors, labels, message):
+        with pytest.raises(DataError, match=message):
+            centroid_train(vectors, labels)
+
     def test_one_example_per_class(self):
         vectors = np.array([[1.0, 0.0], [0.0, 1.0]])
         model = centroid_train(vectors, ["a", "b"])
