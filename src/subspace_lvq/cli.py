@@ -56,7 +56,7 @@ from .model import (
     train,
 )
 from .model_io import load_model, model_checksum, save_model
-from .subspace import check_subspace_dim
+from .subspace import check_prototype_dim
 from .synth import generate as generate_synthetic, write_synthetic
 
 log = logging.getLogger("subspace_lvq.cli")
@@ -179,10 +179,12 @@ def _write_json(obj, path: Path, sort_keys=True) -> None:
 class Run:
     """One command's options, output directory and manifest; :func:`main` starts and ends it.
 
-    Each option is resolved once (:func:`_resolve`).  With ``--out`` the
-    directory is then created and the manifest written, with status "running"
-    and the resolved options, before the command reads any input; the first
-    rejected or missing option then ends it as failed and is raised.  Commands
+    Each option is resolved once (:func:`_resolve`); a config file that
+    cannot be read is the first option error, and the options then come
+    from flags and defaults.  With ``--out`` the directory is then created
+    and the manifest written, with status "running" and the resolved
+    options, before the command reads any input; the first rejected or
+    missing option then ends it as failed and is raised.  Commands
     read options (:meth:`get`), name their outputs and set extra manifest
     fields.  Without ``--out`` (where the command does not require it) there
     is no manifest and :meth:`write` sends the data to stdout.
@@ -190,8 +192,12 @@ class Run:
 
     def __init__(self, args: argparse.Namespace):
         _, _, names, required = _COMMANDS[args.command]
-        file = read_config_file(args.config) if args.config else {}
-        self.options, error = {}, None
+        self.options, file, error = {}, {}, None
+        if args.config:
+            try:
+                file = read_config_file(args.config)
+            except UsageError as exc:
+                error = exc
         for name in names:
             try:
                 self.options[name] = _resolve(name, getattr(args, name), file.get(name))
@@ -309,7 +315,7 @@ def cmd_train(run: Run) -> int:
     config = _train_config(run)
     table = load_embeddings(run.get("embeddings"))
     stoplist = load_stopwords(run.get("stopwords"))
-    check_subspace_dim(config.subspace_dim, table.dim)
+    check_prototype_dim(config.subspace_dim, table.dim)
     records = ingest(run.get("corpus"))
 
     fraction = run.get("train_fraction")

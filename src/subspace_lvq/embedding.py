@@ -12,6 +12,7 @@ import hashlib
 import io
 import logging
 import os
+import struct
 import zlib
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -31,11 +32,15 @@ _MAX_DIGIT_RUN = 4
 
 #: Appended to an embedding file's name to give the path of its parsed-table cache.
 CACHE_SUFFIX = ".slvq-cache"
-_CACHE_VERSION = 1
-# ``checksum`` is the CRC-32 of the duplicate count, the word bytes and the
-# matrix bytes; it catches damage that leaves every array well-formed.
-_CACHE_META = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<u8"),
-                        ("checksum", "<u4")])
+# A cache is this header, then the newline-joined UTF-8 words, then the
+# (V, D) matrix as row-major little-endian float64.  The header holds the
+# magic, the version, the text's SHA-256 as ASCII hex, the duplicate count,
+# the CRC-32 of everything after the header (see _checksum), the word-byte
+# count, V and D.
+_CACHE_HEADER = struct.Struct("<8sI64sQIQQQ")
+_CACHE_MAGIC = b"SLVQEMB\0"
+_CACHE_VERSION = 2
+_CACHE_FLOAT = np.dtype("<f8")
 _CHUNK = 1 << 20
 # float64 values per read slice of a cached matrix (1 MiB): each slice is
 # checked while it is in cache, so a hit holds the matrix plus one slice's
@@ -308,29 +313,24 @@ def _read_cache(cache: Path):
 def _read_cache_records(handle):
     """:func:`_read_cache`'s result from an open cache, or None if a check fails.
 
-    The matrix record is not loaded whole: its header is checked against
-    the bytes left in the file, and its data is read into one ``(V, D)``
-    array slice by slice, each slice checksummed and tested for finite
-    values while it is in cache.
+    The header's sizes must account for every byte of the file.  The matrix
+    is then read into one ``(V, D)`` array slice by slice, each slice
+    checksummed and tested for finite values while it is in cache.
     """
-    meta = np.load(handle, allow_pickle=False)
-    blob = np.load(handle, allow_pickle=False)
-    if not (meta.dtype == _CACHE_META and meta.shape == () and meta["version"] == _CACHE_VERSION
-            and blob.dtype == np.uint8 and blob.ndim == 1):
+    # A short header raises struct.error, which the caller reports.
+    magic, version, digest, duplicates, checksum, word_bytes, count, dim = \
+        _CACHE_HEADER.unpack(handle.read(_CACHE_HEADER.size))
+    if not (magic == _CACHE_MAGIC and version == _CACHE_VERSION and dim > 0
+            and _CACHE_HEADER.size + word_bytes + 8 * count * dim
+            == os.fstat(handle.fileno()).st_size):
         return None
-    if np.lib.format.read_magic(handle) != (1, 0):   # np.save writes 2.0 only past 64 KiB
-        return None
-    shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(handle)
-    if not (dtype == np.float64 and len(shape) == 2 and shape[1] > 0 and not fortran_order
-            and 8 * shape[0] * shape[1] == os.fstat(handle.fileno()).st_size - handle.tell()):
-        return None
+    blob = handle.read(word_bytes)
     words = str(blob, "utf-8").split("\n")
     rows = dict(zip(words, range(len(words))))
-    if not len(words) == len(rows) == shape[0]:   # a missing, extra or repeated word
+    if not len(words) == len(rows) == count:   # a missing, extra or repeated word
         return None
-    duplicates = int(meta["duplicates"])
     crc = _checksum(duplicates, blob)
-    matrix = np.empty(shape, dtype=np.float64)
+    matrix = np.empty((count, dim), dtype=_CACHE_FLOAT)
     values = matrix.reshape(-1)
     # One mask for every slice: a fresh 128 KiB one per slice is mapped and
     # unmapped by malloc each time.
@@ -341,25 +341,26 @@ def _read_cache_records(handle):
                 or not np.isfinite(piece, out=finite[:piece.size]).all()):
             return None
         crc = zlib.crc32(piece, crc)
-    if crc != meta["checksum"]:
+    if crc != checksum:
         return None
-    return rows, matrix, duplicates, bytes(meta["digest"])
+    return rows, matrix, duplicates, digest
 
 
 def _write_cache(cache: Path, digest: str, rows: dict[str, int], matrix: np.ndarray,
                  duplicates: int) -> None:
-    """Store a parsed table as three ``np.save`` records: meta, words, matrix.
+    """Store a parsed table in the cache layout: header, words, matrix.
 
     Words are joined in row order by newlines (no word contains one) into
     UTF-8 bytes.  An unwritable directory costs only the cache, never the load.
     """
-    blob = np.frombuffer("\n".join(rows).encode("utf-8"), dtype=np.uint8)
-    meta = np.array((_CACHE_VERSION, digest.encode("ascii"), duplicates,
-                     _checksum(duplicates, blob, matrix)), dtype=_CACHE_META)
+    blob = "\n".join(rows).encode("utf-8")
+    matrix = np.ascontiguousarray(matrix, dtype=_CACHE_FLOAT)
+    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest.encode("ascii"), duplicates,
+                                _checksum(duplicates, blob, matrix), len(blob), *matrix.shape)
     try:
         with atomic_write(cache) as handle:
-            for record in (meta, blob, matrix):
-                np.save(handle, record, allow_pickle=False)
+            for record in (header, blob, matrix):
+                handle.write(record)
     except OSError as exc:
         log.warning("%s: cannot write embedding cache: %s", cache, exc)
 

@@ -40,7 +40,7 @@ from .geometry import (
     sign_normalize_columns,
     weighted_distance,
 )
-from .subspace import LabeledSubspace, Subspace, _svd_basis, check_subspace_dim
+from .subspace import LabeledSubspace, Subspace, _svd_basis, check_prototype_dim
 
 log = logging.getLogger(__name__)
 
@@ -275,7 +275,7 @@ def init_prototypes(
     if not training:
         raise DataError("empty training set")
     labels = sorted({ex.label for ex in training})
-    check_subspace_dim(d, training[0].subspace.basis.shape[0])
+    check_prototype_dim(d, training[0].subspace.basis.shape[0])
     rng = np.random.default_rng(seed)
     prototypes = []
     for label in labels:

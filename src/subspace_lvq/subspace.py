@@ -67,6 +67,18 @@ def check_subspace_dim(d: int, dim: int) -> None:
         raise DimensionError(f"subspace dimension {d} exceeds embedding dimension {dim}")
 
 
+def check_prototype_dim(d: int, dim: int) -> None:
+    """Reject a training subspace dimension outside ``1 <= d < dim``.
+
+    A prototype of dimension ``dim`` spans the whole space, so every
+    principal cosine to it is 1 and every distance is rounding noise.
+    """
+    check_subspace_dim(d, dim)
+    if d == dim:
+        raise DimensionError(f"subspace dimension {d} equals embedding dimension {dim}, so "
+                             f"every prototype spans the whole space; lower --d below {dim}")
+
+
 def _svd_basis(columns: np.ndarray, d: int) -> np.ndarray:
     """Sign-normalized top-``min(d, rank)`` left singular vectors of ``columns``.
 

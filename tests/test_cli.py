@@ -230,6 +230,16 @@ class TestGradCheckCommand:
         assert "grad_check FAIL (tolerance 1e-05)" in capsys.readouterr().out
 
 
+def assert_config_failure(out, message):
+    """The manifest a run leaves when its config file cannot be read; returned for more checks."""
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == "failed"
+    assert manifest["error"]["category"] == "usage"
+    assert manifest["error"]["message"].startswith(message)
+    assert manifest["outputs"] == []
+    return manifest
+
+
 class TestConfigAndErrors:
     def test_config_file_supplies_options_and_flags_win(self, tmp_path, workspace):
         data = workspace["data"]
@@ -267,7 +277,39 @@ class TestConfigAndErrors:
         assert code == 1
         err = capsys.readouterr().err
         assert err.startswith(f"error: usage: cannot read config file {config}: ")
-        assert not out.exists()   # the config is read before the run starts
+        assert_config_failure(out, f"cannot read config file {config}: ")
+
+    def test_config_line_without_equals_leaves_failed_manifest(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_text("seed 1\n")
+        scored = tmp_path / "s.csv"
+        scored.write_text("case_id,score,percentile,count_above\n")
+        out = tmp_path / "out"
+        code = main(["rank", "--scored", str(scored), "--out", str(out),
+                     "--config", str(config)])
+        assert code == 1
+        message = f"{config}:1: expected 'key = value'"
+        assert capsys.readouterr().err == f"error: usage: {message}\n"
+        manifest = assert_config_failure(out, message)
+        assert manifest["config"]["scored"] == str(scored)   # flags still resolve
+
+    def test_missing_config_file_leaves_failed_manifest(self, tmp_path, capsys):
+        config = tmp_path / "missing.conf"
+        out = tmp_path / "out"
+        code = main(["synth-data", "--config", str(config), "--seed", "3", "--out", str(out)])
+        assert code == 1
+        message = f"cannot read config file {config}: "
+        assert capsys.readouterr().err.startswith(f"error: usage: {message}")
+        manifest = assert_config_failure(out, message)
+        assert manifest["config"]["seed"] == 3
+        assert manifest["config"]["dim"] == cli._FLAGS["dim"].default
+
+    def test_out_set_only_in_an_unreadable_config_leaves_no_manifest(self, tmp_path, capsys):
+        config = tmp_path / "bad.conf"
+        config.write_text(f"out = {tmp_path / 'out'}\nseed 1\n")
+        assert main(["synth-data", "--config", str(config)]) == 1
+        assert capsys.readouterr().err == f"error: usage: {config}:2: expected 'key = value'\n"
+        assert list(tmp_path.iterdir()) == [config]
 
     def test_unknown_config_key(self, tmp_path):
         config = tmp_path / "bad.conf"
@@ -574,6 +616,22 @@ class TestTrainOptions:
         assert manifest["status"] == "failed"
         assert manifest["error"] == {"category": "dimension", "message": message}
         assert manifest["outputs"] == []
+
+    def test_d_equal_to_table_dimension(self, workspace, tmp_path, capsys):
+        """A d = D prototype spans the whole space and would train a chance-level model."""
+        data, out = workspace["data"], tmp_path / "out"
+        code = main(["train", "--embeddings", str(data / "embeddings.txt"),
+                     "--corpus", str(data / "corpus.jsonl"), "--seed", "1", "--d", "25",
+                     "--epochs", "1", "--out", str(out)])
+        assert code == 1
+        message = ("subspace dimension 25 equals embedding dimension 25, so every prototype "
+                   "spans the whole space; lower --d below 25")
+        assert capsys.readouterr().err == f"error: dimension: {message}\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["error"] == {"category": "dimension", "message": message}
+        assert manifest["outputs"] == []
+        assert list(out.iterdir()) == [out / "manifest.json"]
 
 
 class TestPositiveLabel:

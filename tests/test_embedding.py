@@ -299,68 +299,71 @@ class TestEmbeddingCache:
 
     @pytest.mark.parametrize("damage", [
         "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
-        "duplicate_words", "not_npy", "wrong_digest", "rows_beyond_file", "fortran_matrix",
-        "float32_matrix", "words_not_utf8", "npy_2_0_header",
+        "duplicate_words", "not_npy", "wrong_digest", "rows_beyond_file", "float32_matrix",
+        "words_not_utf8", "zero_dim", "header_sizes_disagree", "version_1",
     ])
-    def test_damaged_cache_is_rebuilt(self, tmp_path, damage):
+    def test_damaged_cache_is_rebuilt(self, tmp_path, caplog, damage):
         path = tmp_path / "emb.txt"
         path.write_text("alpha 0.25 -1.5 3.0\nbeta 1e-300 2.0 -0.0\ngamma 7.0 8.0 9.0\n")
         reference = load_embeddings(path)
         cache = cache_of(path)
         good = cache.read_bytes()
-        meta, blob, matrix = read_cache_records(cache)
+        header, blob, matrix = read_cache_records(cache)
         if damage == "truncated":
             cache.write_bytes(good[:-7])
         elif damage == "flipped_byte":
             damaged = bytearray(good)
-            damaged[-5] ^= 0x01   # inside the matrix data: every array stays well-formed
+            damaged[-5] ^= 0x01   # inside the matrix data: every size stays consistent
             cache.write_bytes(bytes(damaged))
         elif damage == "wrong_version":
-            meta["version"] += 1
-            write_cache_records(cache, meta, blob, matrix)
+            header["version"] += 1
+            write_cache_records(cache, header, blob, matrix)
         elif damage == "trailing_bytes":
             cache.write_bytes(good + b"\0")
         elif damage == "nan_matrix":
             matrix[1, 1] = np.nan
-            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
-            write_cache_records(cache, meta, blob, matrix)
+            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
+            write_cache_records(cache, header, blob, matrix)
         elif damage == "empty":
             cache.write_bytes(b"")
         elif damage == "duplicate_words":
-            blob = np.frombuffer(b"alpha\nbeta\nalpha", dtype=np.uint8)
-            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
-            write_cache_records(cache, meta, blob, matrix)
-        elif damage == "not_npy":
-            cache.write_bytes(b"garbage" * 20)
+            blob = b"alpha\nbeta\nalpha"
+            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
+            write_cache_records(cache, header, blob, matrix)
+        elif damage == "not_npy":   # garbage in place of the magic
+            cache.write_bytes(b"garbage!" + good[8:])
         elif damage == "wrong_digest":   # passes every check of the cache itself
-            meta["digest"] = b"0" * 64
-            write_cache_records(cache, meta, blob, matrix)
+            header["digest"] = b"0" * 64
+            write_cache_records(cache, header, blob, matrix)
         elif damage == "rows_beyond_file":   # the header promises a fourth row
-            write_cache_records(cache, meta, blob)
-            with cache.open("ab") as handle:
-                np.lib.format.write_array_header_1_0(
-                    handle, {"descr": "<f8", "fortran_order": False, "shape": (4, 3)})
-                handle.write(matrix.tobytes())
-        elif damage == "fortran_matrix":   # a checksum over the bytes as stored
-            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob,
-                                                   np.ascontiguousarray(matrix.T))
-            write_cache_records(cache, meta, blob, np.asfortranarray(matrix))
+            header["rows"] = 4
+            write_cache_records(cache, header, blob, matrix)
         elif damage == "words_not_utf8":
-            blob = np.frombuffer(b"alpha\nbeta\ngamm\xff", dtype=np.uint8)
-            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
-            write_cache_records(cache, meta, blob, matrix)
-        elif damage == "npy_2_0_header":   # every check but the header version passes
-            write_cache_records(cache, meta, blob)
-            with cache.open("ab") as handle:
-                np.lib.format.write_array_header_2_0(
-                    handle, {"descr": "<f8", "fortran_order": False, "shape": (3, 3)})
-                handle.write(matrix.tobytes())
-        elif damage == "float32_matrix":
+            blob = b"alpha\nbeta\ngamm\xff"
+            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
+            write_cache_records(cache, header, blob, matrix)
+        elif damage == "float32_matrix":   # 4 bytes a value: the sizes miss the file's
             matrix = matrix.astype(np.float32)
-            meta["checksum"] = embedding._checksum(int(meta["duplicates"]), blob, matrix)
-            write_cache_records(cache, meta, blob, matrix)
-        assert_same_table(reference, load_embeddings(path))
+            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
+            write_cache_records(cache, header, blob, matrix)
+        elif damage == "zero_dim":   # every other check passes on a (3, 0) matrix
+            header["dim"] = 0
+            header["checksum"] = embedding._checksum(header["duplicates"], blob)
+            write_cache_records(cache, header, blob, matrix[:, :0])
+        elif damage == "header_sizes_disagree":
+            header["dim"] = 2
+            write_cache_records(cache, header, blob, matrix)
+        elif damage == "version_1":
+            write_version_1_cache(cache, header, blob, matrix)
+        caplog.clear()
+        with caplog.at_level("INFO", logger=embedding.__name__):
+            assert_same_table(reference, load_embeddings(path))
+        rebuilt = [rec.getMessage() for rec in caplog.records if "rebuilding" in rec.getMessage()]
+        assert len(rebuilt) == 1
+        if damage == "version_1":
+            assert rebuilt == [f"{cache}: stale or damaged embedding cache, rebuilding"]
         assert cache.read_bytes() == good
+        assert good.startswith(embedding._CACHE_MAGIC)
 
     def test_text_is_hashed_only_on_a_hit(self, tmp_path, monkeypatch):
         """A first load parses at once; the parse hashes the text as it reads it."""
@@ -530,12 +533,31 @@ def test_hit_holds_the_matrix_and_one_read_slice(tmp_path):
     assert peak - cached.matrix.nbytes < cached.matrix.nbytes / 8
 
 
+_HEADER_FIELDS = ("magic", "version", "digest", "duplicates", "checksum", "word_bytes",
+                  "rows", "dim")
+
+
 def read_cache_records(cache):
-    with cache.open("rb") as handle:
-        return tuple(np.load(handle, allow_pickle=False) for _ in range(3))
+    """A cache's header fields by name, its word bytes and its (V, D) matrix."""
+    data = cache.read_bytes()
+    size = embedding._CACHE_HEADER.size
+    header = dict(zip(_HEADER_FIELDS, embedding._CACHE_HEADER.unpack(data[:size])))
+    blob = data[size:size + header["word_bytes"]]
+    matrix = np.frombuffer(data[size + len(blob):], dtype="<f8")
+    return header, blob, matrix.reshape(header["rows"], header["dim"]).copy()
 
 
-def write_cache_records(cache, *records):
+def write_cache_records(cache, header, blob, matrix):
+    cache.write_bytes(embedding._CACHE_HEADER.pack(*header.values()) + blob + matrix.tobytes())
+
+
+def write_version_1_cache(cache, header, blob, matrix):
+    """The table as cache version 1 stored it: three np.save records (meta, words, matrix)."""
+    meta_dtype = np.dtype([("version", "<u4"), ("digest", "S64"), ("duplicates", "<u8"),
+                           ("checksum", "<u4")])
+    words = np.frombuffer(blob, dtype=np.uint8)
+    meta = np.array((1, header["digest"], header["duplicates"], header["checksum"]),
+                    dtype=meta_dtype)
     with cache.open("wb") as handle:
-        for record in records:
+        for record in (meta, words, matrix):
             np.save(handle, record, allow_pickle=False)

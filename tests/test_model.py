@@ -290,6 +290,12 @@ class TestTrain:
         with pytest.raises(NumericError, match=message):
             train(separable_toy(), TrainConfig(subspace_dim=3, seed=0, epochs=1))
 
+    def test_prototype_dim_must_be_below_embedding_dim(self):
+        with pytest.raises(DimensionError, match="dimension 8 equals embedding dimension 8"):
+            train(separable_toy(), TrainConfig(subspace_dim=8, seed=0, epochs=1))
+        state = train(separable_toy(), TrainConfig(subspace_dim=7, seed=0, epochs=1))
+        assert all(p.basis.shape == (8, 7) for p in state.prototypes)
+
     def test_separable_toy_one_epoch(self):
         training = separable_toy()
         config = TrainConfig(subspace_dim=3, seed=0, epochs=1)
