@@ -1,7 +1,8 @@
 """Atomic file replacement and streaming file hashes.
 
-Shared by the model container and the embedding cache.  Imports nothing
-from the package, so any module can use it without an import cycle.
+Atomic writes serve the model container and the embedding cache, and the
+streaming hash gives a model file's checksum.  Imports nothing from the
+package, so any module can use it without an import cycle.
 """
 
 from __future__ import annotations
@@ -15,9 +16,11 @@ from pathlib import Path
 import numpy as np
 
 _FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-# The hashing buffer.  Hashing a 57 MB file took the same ~40 ms with this
-# and with a 1 MiB buffer, but the 1 MiB one, allocated on the hashing
-# thread, raised peak RSS by about 1 MiB more.
+# The hashing buffer.  Only model checksums (model_io.model_checksum) hash
+# files now: an embedding-cache hit compares the text with its copy in the
+# cache instead.  The size was chosen for a 57 MB embedding text, which
+# hashed as fast with it as with a 1 MiB buffer at lower peak RSS; a model
+# file holds only its prototypes (120 KB each at D=300, d=50).
 _HASH_CHUNK = 1 << 18
 
 

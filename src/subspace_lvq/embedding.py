@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, sha256_file
+from .atomic import atomic_write
 from .errors import DimensionError, EmptyDocumentError, FormatError, reading
 
 log = logging.getLogger(__name__)
@@ -32,16 +32,20 @@ _MAX_DIGIT_RUN = 4
 
 #: Appended to an embedding file's name to give the path of its parsed-table cache.
 CACHE_SUFFIX = ".slvq-cache"
-# A cache is this header, then the newline-joined UTF-8 words, then the
-# (V, D) matrix as row-major little-endian float64.  The header holds the
-# magic, the version, the text's SHA-256 as ASCII hex, the duplicate count,
-# the CRC-32 of everything after the header (see _checksum), the word-byte
+# A cache is this header, then a byte copy of the text, then the
+# newline-joined UTF-8 words, then the (V, D) matrix as row-major
+# little-endian float64.  The header holds the magic, the version, the
+# text's SHA-256 as ASCII hex, the duplicate count, the CRC-32 of the digest,
+# words and matrix (see _checksum), the text's byte count, the word-byte
 # count, V and D.
-_CACHE_HEADER = struct.Struct("<8sI64sQIQQQ")
+_CACHE_HEADER = struct.Struct("<8sI64sQIQQQQ")
 _CACHE_MAGIC = b"SLVQEMB\0"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 _CACHE_FLOAT = np.dtype("<f8")
 _CHUNK = 1 << 20
+# Bytes per read of the text and of its copy in the cache, for both the
+# comparison on a hit (two buffers) and the copy on a miss (one buffer).
+_TEXT_CHUNK = 1 << 17
 # float64 values per read slice of a cached matrix (1 MiB): each slice is
 # checked while it is in cache, so a hit holds the matrix plus one slice's
 # ``np.isfinite`` temporary.
@@ -133,22 +137,23 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
     count is logged).
 
     The parsed table is kept in a binary cache beside the file
-    (``<name>.slvq-cache``), keyed by the file's SHA-256.  A later load of
-    the same bytes reads the cache instead of parsing the text; an edited
-    file, or a cache that is missing, stale or damaged in any way, is
-    parsed again and the cache rewritten.  Both paths give bit-identical
-    vectors, and every entry is a row view of one ``(V, D)`` matrix.
+    (``<name>.slvq-cache``), together with a byte copy of the text it was
+    parsed from.  A later load of the same bytes reads the cache instead of
+    parsing the text; an edited file, or a cache that is missing, stale or
+    damaged in any way, is parsed again and the cache rewritten.  Both
+    paths give bit-identical vectors, and every entry is a row view of one
+    ``(V, D)`` matrix.
 
-    When there is no cache file, the text is parsed at once and hashed by
-    the parse.  Otherwise, for a file larger than one read chunk (1 MiB),
-    the SHA-256 is computed on one worker thread while the calling thread
-    reads and checks the cache.  Both release the GIL, so the two passes
-    overlap, at the cost of one thread and one 256 KiB read buffer per
-    load.  The key and every check are those of a smaller file, which is
-    hashed first and its cache read after, because a thread start would
-    cost more than it saves there.  No worker is left running when this
-    function returns or raises.  The cached matrix is read and checked in
-    1 MiB slices, so a hit holds the matrix and little else.
+    When there is no cache file, the text is parsed at once, then copied
+    into the new cache.  Otherwise, for a file larger than one read chunk
+    (1 MiB), the text is compared with its copy on one worker thread while
+    the calling thread reads and checks the cache.  Both release the GIL,
+    so the two passes overlap, at the cost of one thread and two 128 KiB
+    read buffers per load.  The checks are those of a smaller file, which
+    is compared first and its cache read after, because a thread start
+    would cost more than it saves there.  No worker is left running when
+    this function returns or raises.  The cached matrix is read and checked
+    in 1 MiB slices, so a hit holds the matrix and little else.
 
     Raises
     ------
@@ -165,7 +170,7 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
         cached = _read_hit(path, cache) if cache.exists() else None
         if cached is None:
             rows, matrix, duplicates, digest = _parse_text(path)
-            _write_cache(cache, digest, rows, matrix, duplicates)
+            _write_cache(path, cache, digest, rows, matrix, duplicates)
         else:
             rows, matrix, duplicates, _ = cached
     if duplicates:
@@ -179,12 +184,18 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
 
 
 def _read_hit(path: Path, cache: Path):
-    """:func:`_read_cache`'s result if the cache is keyed by the text's SHA-256, else None."""
+    """:func:`_read_cache`'s result if the text equals the cache's copy of it, else None.
+
+    The comparison and the read each open the cache, so both must see the
+    same digest in its header.  The returned digest is then the SHA-256 of
+    the text, as the parse that wrote the cache computed it, and no hit
+    hashes the text.
+    """
     # A worker thread on every load raised the median load time of an
     # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
     # stay sequential.
     if path.stat().st_size <= _CHUNK:
-        digest = sha256_file(path)
+        digest = _same_text(path, cache)
         cached = _read_cache(cache)
     else:
         # Imported only here: the module adds ~0.35 MiB of peak RSS,
@@ -192,13 +203,42 @@ def _read_hit(path: Path, cache: Path):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=1) as pool:
-            hashing = pool.submit(sha256_file, path)
+            comparing = pool.submit(_same_text, path, cache)
             cached = _read_cache(cache)
-            digest = hashing.result()
-    if cached is not None and cached[3] != digest.encode("ascii"):
+            digest = comparing.result()
+    if cached is not None and cached[3] != digest:
         log.info("%s: stale or damaged embedding cache, rebuilding", cache)
         return None
     return cached
+
+
+def _same_text(path: Path, cache: Path) -> bytes | None:
+    """The digest in ``cache``'s header if ``path`` holds exactly the cache's text copy, else None.
+
+    The text must end after the header's text byte count, and every byte
+    must equal the copy's.  A text that cannot be opened raises; any other
+    failure, such as an unreadable cache or a short header, gives None,
+    and :func:`_read_cache` reports the cache.
+    """
+    with path.open("rb", buffering=0) as text:
+        try:
+            with cache.open("rb", buffering=0) as copy:
+                header = _CACHE_HEADER.unpack(copy.read(_CACHE_HEADER.size))
+                digest, left = header[2], header[5]
+                # Two reused bytearrays compared with ``==`` run at memcmp
+                # speed; comparing memoryview slices, element by element,
+                # was slower than hashing the text.
+                mine, theirs = bytearray(min(left, _TEXT_CHUNK)), bytearray(min(left, _TEXT_CHUNK))
+                while left:
+                    if left < len(mine):   # the last, shorter read: shrink in place
+                        del mine[left:], theirs[left:]
+                    if not (text.readinto(mine) == copy.readinto(theirs) == len(mine)
+                            and mine == theirs):
+                        return None
+                    left -= len(mine)
+                return None if text.read(1) else digest
+        except Exception:  # noqa: BLE001 - a cache that cannot be compared is rebuilt
+            return None
 
 
 class _HashingReader(io.RawIOBase):
@@ -295,7 +335,7 @@ def _read_cache(cache: Path):
 
     Returns None, and the caller parses the text, when the cache is missing,
     was written by another cache version, or fails any check.  The caller
-    compares the returned digest with the text's own.
+    compares the text with the cache's copy of it (:func:`_same_text`).
     """
     try:
         with cache.open("rb") as handle:
@@ -313,23 +353,25 @@ def _read_cache(cache: Path):
 def _read_cache_records(handle):
     """:func:`_read_cache`'s result from an open cache, or None if a check fails.
 
-    The header's sizes must account for every byte of the file.  The matrix
-    is then read into one ``(V, D)`` array slice by slice, each slice
-    checksummed and tested for finite values while it is in cache.
+    The header's sizes must account for every byte of the file.  The text
+    copy is skipped.  The matrix is then read into one ``(V, D)`` array
+    slice by slice, each slice checksummed and tested for finite values
+    while it is in cache.
     """
     # A short header raises struct.error, which the caller reports.
-    magic, version, digest, duplicates, checksum, word_bytes, count, dim = \
+    magic, version, digest, duplicates, checksum, text_bytes, word_bytes, count, dim = \
         _CACHE_HEADER.unpack(handle.read(_CACHE_HEADER.size))
     if not (magic == _CACHE_MAGIC and version == _CACHE_VERSION and dim > 0
-            and _CACHE_HEADER.size + word_bytes + 8 * count * dim
+            and _CACHE_HEADER.size + text_bytes + word_bytes + 8 * count * dim
             == os.fstat(handle.fileno()).st_size):
         return None
+    handle.seek(text_bytes, os.SEEK_CUR)
     blob = handle.read(word_bytes)
     words = str(blob, "utf-8").split("\n")
     rows = dict(zip(words, range(len(words))))
     if not len(words) == len(rows) == count:   # a missing, extra or repeated word
         return None
-    crc = _checksum(duplicates, blob)
+    crc = _checksum(duplicates, digest, blob)
     matrix = np.empty((count, dim), dtype=_CACHE_FLOAT)
     values = matrix.reshape(-1)
     # One mask for every slice: a fresh 128 KiB one per slice is mapped and
@@ -346,21 +388,36 @@ def _read_cache_records(handle):
     return rows, matrix, duplicates, digest
 
 
-def _write_cache(cache: Path, digest: str, rows: dict[str, int], matrix: np.ndarray,
-                 duplicates: int) -> None:
-    """Store a parsed table in the cache layout: header, words, matrix.
+def _write_cache(path: Path, cache: Path, digest: str, rows: dict[str, int],
+                 matrix: np.ndarray, duplicates: int) -> None:
+    """Store a table parsed from ``path`` in the cache layout: header, text, words, matrix.
 
-    Words are joined in row order by newlines (no word contains one) into
-    UTF-8 bytes.  An unwritable directory costs only the cache, never the load.
+    The text is streamed into the cache and hashed as it is copied.  If that
+    hash is not ``digest``, the parse's, the file changed after the parse
+    read it, and the cache is not written: its copy would not be the text
+    the table came from.  Words are joined in row order by newlines (no word
+    contains one) into UTF-8 bytes.  An unwritable directory, or a changed
+    text, costs only the cache, never the load.
     """
     blob = "\n".join(rows).encode("utf-8")
     matrix = np.ascontiguousarray(matrix, dtype=_CACHE_FLOAT)
-    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest.encode("ascii"), duplicates,
-                                _checksum(duplicates, blob, matrix), len(blob), *matrix.shape)
+    digest = digest.encode("ascii")
+    checksum = _checksum(duplicates, digest, blob, matrix)
     try:
-        with atomic_write(cache) as handle:
-            for record in (header, blob, matrix):
-                handle.write(record)
+        with path.open("rb", buffering=0) as text, atomic_write(cache) as handle:
+            size = os.fstat(text.fileno()).st_size
+            handle.write(_CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, duplicates,
+                                            checksum, size, len(blob), *matrix.shape))
+            copied = hashlib.sha256()
+            buffer = memoryview(bytearray(_TEXT_CHUNK))
+            while count := text.readinto(buffer):
+                copied.update(buffer[:count])
+                handle.write(buffer[:count])
+                size -= count
+            if size or copied.hexdigest().encode("ascii") != digest:
+                raise OSError(f"{path} changed after it was parsed")
+            handle.write(blob)
+            handle.write(matrix)
     except OSError as exc:
         log.warning("%s: cannot write embedding cache: %s", cache, exc)
 

@@ -1,6 +1,7 @@
 """Embedding file handling, the parsed-table cache, tokenization and document embedding."""
 
 import errno
+import struct
 import tempfile
 import threading
 import tracemalloc
@@ -300,7 +301,9 @@ class TestEmbeddingCache:
     @pytest.mark.parametrize("damage", [
         "truncated", "flipped_byte", "wrong_version", "trailing_bytes", "nan_matrix", "empty",
         "duplicate_words", "not_npy", "wrong_digest", "rows_beyond_file", "float32_matrix",
-        "words_not_utf8", "zero_dim", "header_sizes_disagree", "version_1",
+        "words_not_utf8", "zero_dim", "header_sizes_disagree", "version_1", "version_2",
+        "text_copy_differs", "text_copy_short", "text_longer_than_copy",
+        "header_text_size_disagrees",
     ])
     def test_damaged_cache_is_rebuilt(self, tmp_path, caplog, damage):
         path = tmp_path / "emb.txt"
@@ -308,7 +311,7 @@ class TestEmbeddingCache:
         reference = load_embeddings(path)
         cache = cache_of(path)
         good = cache.read_bytes()
-        header, blob, matrix = read_cache_records(cache)
+        header, text, blob, matrix = read_cache_records(cache)
         if damage == "truncated":
             cache.write_bytes(good[:-7])
         elif damage == "flipped_byte":
@@ -317,70 +320,122 @@ class TestEmbeddingCache:
             cache.write_bytes(bytes(damaged))
         elif damage == "wrong_version":
             header["version"] += 1
-            write_cache_records(cache, header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "trailing_bytes":
             cache.write_bytes(good + b"\0")
         elif damage == "nan_matrix":
             matrix[1, 1] = np.nan
-            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
-            write_cache_records(cache, header, blob, matrix)
+            header["checksum"] = checksum(header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "empty":
             cache.write_bytes(b"")
         elif damage == "duplicate_words":
             blob = b"alpha\nbeta\nalpha"
-            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
-            write_cache_records(cache, header, blob, matrix)
+            header["checksum"] = checksum(header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "not_npy":   # garbage in place of the magic
             cache.write_bytes(b"garbage!" + good[8:])
-        elif damage == "wrong_digest":   # passes every check of the cache itself
+        elif damage == "wrong_digest":   # the CRC covers the digest
             header["digest"] = b"0" * 64
-            write_cache_records(cache, header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "rows_beyond_file":   # the header promises a fourth row
             header["rows"] = 4
-            write_cache_records(cache, header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "words_not_utf8":
             blob = b"alpha\nbeta\ngamm\xff"
-            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
-            write_cache_records(cache, header, blob, matrix)
+            header["checksum"] = checksum(header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "float32_matrix":   # 4 bytes a value: the sizes miss the file's
             matrix = matrix.astype(np.float32)
-            header["checksum"] = embedding._checksum(header["duplicates"], blob, matrix)
-            write_cache_records(cache, header, blob, matrix)
+            header["checksum"] = checksum(header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "zero_dim":   # every other check passes on a (3, 0) matrix
             header["dim"] = 0
-            header["checksum"] = embedding._checksum(header["duplicates"], blob)
-            write_cache_records(cache, header, blob, matrix[:, :0])
+            header["checksum"] = checksum(header, blob)
+            write_cache_records(cache, header, text, blob, matrix[:, :0])
         elif damage == "header_sizes_disagree":
             header["dim"] = 2
-            write_cache_records(cache, header, blob, matrix)
+            write_cache_records(cache, header, text, blob, matrix)
         elif damage == "version_1":
             write_version_1_cache(cache, header, blob, matrix)
+        elif damage == "version_2":
+            write_version_2_cache(cache, header, blob, matrix)
+        elif damage == "text_copy_differs":   # passes every check of the cache itself
+            text = text.replace(b"beta", b"betb")
+            write_cache_records(cache, header, text, blob, matrix)
+        elif damage == "text_copy_short":   # the header still counts the full text
+            write_cache_records(cache, header, text[:-3], blob, matrix)
+        elif damage == "text_longer_than_copy":   # passes every check of the cache itself
+            header["text_bytes"] -= 1
+            write_cache_records(cache, header, text[:-1], blob, matrix)
+        elif damage == "header_text_size_disagrees":
+            header["text_bytes"] += 1
+            write_cache_records(cache, header, text, blob, matrix)
+        if damage in ("text_copy_differs", "text_longer_than_copy"):
+            assert embedding._read_cache(cache) is not None
         caplog.clear()
         with caplog.at_level("INFO", logger=embedding.__name__):
             assert_same_table(reference, load_embeddings(path))
         rebuilt = [rec.getMessage() for rec in caplog.records if "rebuilding" in rec.getMessage()]
         assert len(rebuilt) == 1
-        if damage == "version_1":
+        if damage in ("version_1", "version_2"):
             assert rebuilt == [f"{cache}: stale or damaged embedding cache, rebuilding"]
         assert cache.read_bytes() == good
         assert good.startswith(embedding._CACHE_MAGIC)
 
-    def test_text_is_hashed_only_on_a_hit(self, tmp_path, monkeypatch):
-        """A first load parses at once; the parse hashes the text as it reads it."""
+    def test_text_is_compared_only_on_a_hit(self, tmp_path, monkeypatch):
+        """A first load parses at once; a later one compares the text with the cache's copy."""
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
         calls = []
-        sha256 = embedding.sha256_file
+        same_text = embedding._same_text
 
-        def spy(path):
+        def spy(path, cache):
             calls.append(path)
-            return sha256(path)
+            return same_text(path, cache)
 
-        monkeypatch.setattr(embedding, "sha256_file", spy)
+        monkeypatch.setattr(embedding, "_same_text", spy)
         parsed = load_embeddings(path)
         assert calls == [] and cache_of(path).exists()
         assert_same_table(parsed, load_embeddings(path))
         assert calls == [path]
+
+    def test_text_edited_after_the_parse_leaves_no_cache(self, tmp_path, monkeypatch, caplog):
+        """A cache never pairs a copy of the new text with the table parsed from the old."""
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        parse = embedding._parse_text
+
+        def parse_then_edit(path):
+            parsed = parse(path)
+            path.write_text("a 1.0 0.5\nb 0.0 2.0\n")   # same length: only the hash differs
+            return parsed
+
+        monkeypatch.setattr(embedding, "_parse_text", parse_then_edit)
+        with caplog.at_level("WARNING"):
+            assert load_embeddings(path).get("b")[1] == 1.0
+        assert list(tmp_path.iterdir()) == [path]
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{cache_of(path)}: cannot write embedding cache: {path} changed after it was parsed"]
+        monkeypatch.setattr(embedding, "_parse_text", parse)
+        assert load_embeddings(path).get("b")[1] == 2.0
+        assert load_embeddings(path).get("b")[1] == 2.0   # a hit on the new text
+
+    def test_cache_replaced_between_compare_and_read_is_not_used(self, tmp_path, monkeypatch):
+        """The text's comparison and the matrix's read must have opened the same cache."""
+        path, other = tmp_path / "emb.txt", tmp_path / "other.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        other.write_text("a 9.0 9.0\nb 9.0 9.0\n")
+        load_embeddings(path)
+        load_embeddings(other)
+        read_cache = embedding._read_cache
+
+        def replace_then_read(cache):
+            cache_of(other).replace(cache)   # a valid cache, but of another text
+            return read_cache(cache)
+
+        monkeypatch.setattr(embedding, "_read_cache", replace_then_read)
+        assert load_embeddings(path).get("b")[1] == 1.0
 
     def test_unwritable_directory_still_loads(self, tmp_path, monkeypatch, caplog):
         path = tmp_path / "emb.txt"
@@ -472,24 +527,24 @@ class TestEmbeddingCache:
 
 
 class TestEmbeddingCacheThreaded(TestEmbeddingCache):
-    """Every cache case again, on the path that hashes the text on a worker thread."""
+    """Every cache case again, on the path that compares the text on a worker thread."""
 
     @pytest.fixture(autouse=True)
     def small_chunk(self, monkeypatch):
         monkeypatch.setattr(embedding, "_CHUNK", 4)
 
-    def test_digest_runs_on_a_worker_thread(self, tmp_path, monkeypatch):
+    def test_comparison_runs_on_a_worker_thread(self, tmp_path, monkeypatch):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
         load_embeddings(path)
         threads = []
-        sha256 = embedding.sha256_file
+        same_text = embedding._same_text
 
-        def spy(path):
+        def spy(path, cache):
             threads.append(threading.current_thread())
-            return sha256(path)
+            return same_text(path, cache)
 
-        monkeypatch.setattr(embedding, "sha256_file", spy)
+        monkeypatch.setattr(embedding, "_same_text", spy)
         load_embeddings(path)
         assert len(threads) == 1 and threads[0] is not threading.main_thread()
         assert not threads[0].is_alive()
@@ -522,7 +577,7 @@ def test_hit_holds_the_matrix_and_one_read_slice(tmp_path):
     path = tmp_path / "emb.txt"
     save_embeddings(table, path)
     load_embeddings(path)
-    load_embeddings(path)   # the first hit imports the hashing thread's module
+    load_embeddings(path)   # the first hit imports the comparing thread's module
     tracemalloc.start()
     try:
         cached = load_embeddings(path)
@@ -533,22 +588,57 @@ def test_hit_holds_the_matrix_and_one_read_slice(tmp_path):
     assert peak - cached.matrix.nbytes < cached.matrix.nbytes / 8
 
 
-_HEADER_FIELDS = ("magic", "version", "digest", "duplicates", "checksum", "word_bytes",
-                  "rows", "dim")
+def test_miss_holds_the_matrix_and_the_parse_buffers(tmp_path):
+    """Copying the text into the cache adds no buffer larger than the parse's own."""
+    rng = np.random.default_rng(4)
+    table = EmbeddingTable.from_vectors(2000, {f"w{i}": rng.standard_normal(2000)
+                                               for i in range(300)})
+    path = tmp_path / "emb.txt"
+    save_embeddings(table, path)
+    load_embeddings(path)
+    cache_of(path).unlink()
+    tracemalloc.start()
+    try:
+        parsed = load_embeddings(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache_of(path).exists()
+    assert_same_table(table, parsed)
+    assert peak - parsed.matrix.nbytes <= 1.9e6
+
+
+_HEADER_FIELDS = ("magic", "version", "digest", "duplicates", "checksum", "text_bytes",
+                  "word_bytes", "rows", "dim")
 
 
 def read_cache_records(cache):
-    """A cache's header fields by name, its word bytes and its (V, D) matrix."""
+    """A cache's header fields by name, its text copy, its word bytes and its (V, D) matrix."""
     data = cache.read_bytes()
     size = embedding._CACHE_HEADER.size
     header = dict(zip(_HEADER_FIELDS, embedding._CACHE_HEADER.unpack(data[:size])))
-    blob = data[size:size + header["word_bytes"]]
-    matrix = np.frombuffer(data[size + len(blob):], dtype="<f8")
-    return header, blob, matrix.reshape(header["rows"], header["dim"]).copy()
+    text = data[size:size + header["text_bytes"]]
+    blob = data[size + len(text):size + len(text) + header["word_bytes"]]
+    matrix = np.frombuffer(data[size + len(text) + len(blob):], dtype="<f8")
+    return header, text, blob, matrix.reshape(header["rows"], header["dim"]).copy()
 
 
-def write_cache_records(cache, header, blob, matrix):
-    cache.write_bytes(embedding._CACHE_HEADER.pack(*header.values()) + blob + matrix.tobytes())
+def write_cache_records(cache, header, text, blob, matrix):
+    cache.write_bytes(embedding._CACHE_HEADER.pack(*header.values()) + text + blob
+                      + matrix.tobytes())
+
+
+def checksum(header, *parts):
+    """The CRC-32 a cache with this header stores over ``parts`` (the words, then the matrix)."""
+    return embedding._checksum(header["duplicates"], header["digest"], *parts)
+
+
+def write_version_2_cache(cache, header, blob, matrix):
+    """The table as cache version 2 stored it: a 112-byte header, the words, the matrix."""
+    head = struct.pack("<8sI64sQIQQQ", header["magic"], 2, header["digest"], header["duplicates"],
+                       embedding._checksum(header["duplicates"], blob, matrix), len(blob),
+                       *matrix.shape)
+    cache.write_bytes(head + blob + matrix.tobytes())
 
 
 def write_version_1_cache(cache, header, blob, matrix):
