@@ -1,4 +1,4 @@
-"""Prototype-based document classification on word-embedding subspaces.
+"""Document classification by learned prototypes on word-embedding subspaces.
 
 Documents become orthonormal bases (truncated SVD of their word vectors);
 classes are learned prototype bases compared through relevance-weighted
@@ -42,7 +42,6 @@ from .model import (
     CentroidModel,
     EvalReport,
     ModelState,
-    Prototype,
     TrainConfig,
     centroid_predict,
     centroid_train,
@@ -95,7 +94,6 @@ __all__ = [
     "NumericError",
     "PreprocessedDoc",
     "PrincipalAngles",
-    "Prototype",
     "ScoredCase",
     "Subspace",
     "SyntheticCorpus",

@@ -375,7 +375,7 @@ def cmd_predict(run: Run) -> int:
 
     rows, skipped = map_records(records, predict_one)
     header = ["case_id", "predicted_label"] + [
-        f"dist_{i}_{p.label}" for i, p in enumerate(state.prototypes)
+        f"dist_{i}_{label}" for i, label in enumerate(state.prototype_labels)
     ]
     path = run.csv("predictions.csv", header, rows)
     run.set(skipped=len(skipped))
@@ -403,11 +403,13 @@ def cmd_explain(run: Run) -> int:
 def cmd_score_corpus(run: Run) -> int:
     state, table, stoplist, records = _model_inputs(run)
     scored, skipped = batch_score(records, state, table, stoplist, run.get("positive_label"))
-    ranked = rank(scored)
-    path = run.write("scored.csv", write_scored, ranked)
+    # The skip list is kept even when nothing scored and rank fails.
     if skipped:
         run.csv("skipped.csv", ["case_id", "reason"], skipped)
-    run.set(scored=len(ranked), skipped=len(skipped))
+    run.set(skipped=len(skipped))
+    ranked = rank(scored)
+    path = run.write("scored.csv", write_scored, ranked)
+    run.set(scored=len(ranked))
     print(f"scored {path}")
     threshold = run.get("threshold")
     if threshold is not None:
@@ -517,7 +519,7 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="subspace-lvq",
-        description="Prototype-based subspace document classification and corpus triage.",
+        description="Subspace document classification by learned prototypes, and corpus triage.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)

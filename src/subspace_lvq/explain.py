@@ -61,7 +61,7 @@ def word_impacts(matrix: WordMatrix, doc: Subspace, model: ModelState) -> list[W
 
 def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.ndarray):
     """Runner-up prototype index and :func:`word_impacts`, given ``classify``'s distances."""
-    labels = model.prototype_labels()
+    labels = model.prototype_labels
     winner_idx = int(np.argmin(dists))
     competitor_idx = min(
         (i for i, lab in enumerate(labels) if lab != labels[winner_idx]),
@@ -73,7 +73,7 @@ def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.nda
     unit_words = matrix.columns / safe
 
     support, oppose = _alignment_energy(
-        unit_words, doc, model.prototype_stack[[winner_idx, competitor_idx]], model.relevances)
+        unit_words, doc, model.prototypes[[winner_idx, competitor_idx]], model.relevances)
     per_occurrence = support - oppose
 
     totals: dict[str, float] = {}
@@ -109,7 +109,7 @@ def explanation_report(
     return ExplanationReport(
         doc_id=case.case_id,
         predicted_label=predicted,
-        runner_up_label=model.prototypes[runner_up].label,
+        runner_up_label=model.prototype_labels[runner_up],
         score=prob,
         impacts=impacts[:k],
         top_k=k,

@@ -1,4 +1,4 @@
-"""Prototype-based subspace classifier.
+"""Subspace classifier with learned class prototypes.
 
 Each class is represented by one or more orthonormal D x d prototype bases.
 A document subspace is compared to a prototype through its principal angles,
@@ -15,7 +15,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,14 +53,6 @@ _GRAD_CHECK_EPS = 1e-6
 GRAD_CHECK_SEED = 20240
 
 
-@dataclass
-class Prototype:
-    """Orthonormal D x d class representative."""
-
-    basis: np.ndarray
-    label: str
-
-
 @dataclass(frozen=True, kw_only=True)
 class TrainConfig:
     """Training options and the CLI's defaults; one that breaks a rule cannot be built."""
@@ -93,33 +84,42 @@ class TrainConfig:
             raise DataError("prototypes_per_class must be positive")
 
 
-@dataclass
+@dataclass(frozen=True, kw_only=True)
 class ModelState:
-    """A trained classifier: prototypes, shared relevances, and metadata.
+    """A trained classifier: its prototype stack and labels, relevances, and metadata.
 
-    Immutable by convention once training returns; classify/score/evaluate
-    only read it, so concurrent use over documents needs no coordination.
+    ``prototypes`` is a ``(P, D, d)`` stack of orthonormal bases, ``prototype_labels``
+    the class of each; the dimensions and class labels are read from the two.
+    classify/score/evaluate only read it, so concurrent use needs no coordination.
     ``training_log`` rows are (epoch, mean cost, training accuracy), with
     epoch 0 describing the freshly initialized model.
     """
 
-    prototypes: list[Prototype]
+    prototypes: np.ndarray
+    prototype_labels: tuple[str, ...]
     relevances: np.ndarray
-    embedding_dim: int
-    subspace_dim: int
     sigmoid_slope: float
     distance_kind: str
-    class_labels: list[str]
     hyperparams: dict = field(default_factory=dict)
     training_log: list[tuple[int, float, float]] = field(default_factory=list)
 
-    def prototype_labels(self) -> list[str]:
-        return [p.label for p in self.prototypes]
+    def __post_init__(self):
+        if (self.prototypes.ndim != 3 or len(self.prototype_labels) != len(self.prototypes)
+                or self.relevances.shape != (self.subspace_dim,)):
+            raise DimensionError(f"{len(self.prototype_labels)} labels and {self.relevances.shape} "
+                                 f"relevances do not fit a {self.prototypes.shape} prototype stack")
 
-    @cached_property
-    def prototype_stack(self) -> np.ndarray:
-        """The prototype bases as one ``(P, D, d)`` array, built on first use."""
-        return np.stack([p.basis for p in self.prototypes])
+    @property
+    def embedding_dim(self) -> int:
+        return self.prototypes.shape[1]
+
+    @property
+    def subspace_dim(self) -> int:
+        return self.prototypes.shape[2]
+
+    @property
+    def class_labels(self) -> list[str]:
+        return sorted(set(self.prototype_labels))
 
 
 def sigmoid(x: float) -> float:
@@ -140,10 +140,10 @@ def cost_term(d_plus: float, d_minus: float, beta: float) -> tuple[float, float]
     return (d_plus - d_minus) / (d_plus + d_minus), terms[2]
 
 
-def distance(doc: Subspace, proto: Prototype, weights: np.ndarray, kind: str) -> float:
-    """Relevance-weighted subspace distance between a document and a prototype."""
+def distance(doc: Subspace, basis: np.ndarray, weights: np.ndarray, kind: str) -> float:
+    """Relevance-weighted subspace distance between a document and a prototype basis."""
     _check_weights(weights)
-    return weighted_distance(principal_angles(doc.basis, proto.basis).cosines, weights, kind)
+    return weighted_distance(principal_angles(doc.basis, basis).cosines, weights, kind)
 
 
 def _check_weights(weights: np.ndarray):
@@ -173,9 +173,8 @@ def classify(doc: Subspace, model: ModelState) -> tuple[str, np.ndarray]:
             f"document dimension {doc.basis.shape[0]} does not match model "
             f"dimension {model.embedding_dim}"
         )
-    dists = _distances([doc.basis], model.prototype_stack,
-                       model.relevances, model.distance_kind)[0]
-    return model.prototypes[int(np.argmin(dists))].label, dists
+    dists = _distances([doc.basis], model.prototypes, model.relevances, model.distance_kind)[0]
+    return model.prototype_labels[int(np.argmin(dists))], dists
 
 
 def check_positive_label(model: ModelState, positive_label: str) -> None:
@@ -206,7 +205,7 @@ def _positive_probability(dists: np.ndarray, model: ModelState, positive_label: 
     The positive probability is the training cost of labelling the document
     negative, so it comes from the same :func:`_sample_terms`.
     """
-    negative = [lab != positive_label for lab in model.prototype_labels()]
+    negative = [lab != positive_label for lab in model.prototype_labels]
     terms = _sample_terms(dists, negative, model.sigmoid_slope)
     if terms is None:
         raise DegenerateSampleError("document is at zero distance to both classes")
@@ -264,20 +263,21 @@ def _complete_basis(basis: np.ndarray, d: int, rng) -> np.ndarray:
 
 def init_prototypes(
     training: list[LabeledSubspace], per_class: int, d: int, seed
-) -> list[Prototype]:
+) -> tuple[np.ndarray, tuple[str, ...]]:
     """Seeded prototype initialization from stacked document bases.
 
     For each prototype, up to 10 random same-class documents are drawn, their
     bases stacked side by side, and the top-d left singular vectors
     (sign-normalized) taken as the initial basis.  If the stack has rank
     below d, the basis is completed with seeded random orthonormal columns.
+    Returns the ``(P, D, d)`` stack and its labels, ``per_class`` per class in class order.
     """
     if not training:
         raise DataError("empty training set")
     labels = sorted({ex.label for ex in training})
     check_prototype_dim(d, training[0].subspace.basis.shape[0])
     rng = np.random.default_rng(seed)
-    prototypes = []
+    bases = []
     for label in labels:
         idxs = [i for i, ex in enumerate(training) if ex.label == label]
         for _ in range(per_class):
@@ -287,8 +287,8 @@ def init_prototypes(
             basis = _svd_basis(stacked, d)
             if basis.shape[1] < d:
                 basis = _complete_basis(basis, d, rng)
-            prototypes.append(Prototype(basis=np.ascontiguousarray(basis), label=label))
-    return prototypes
+            bases.append(basis)
+    return np.stack(bases), tuple(label for label in labels for _ in range(per_class))
 
 
 def _sample_terms(dists, correct_mask, beta: float):
@@ -338,12 +338,11 @@ def _sample_step(doc_basis, stack, correct_mask, weights, beta, kind):
             distance_gradient_weights(winners.cosines, weights.size, kind))
 
 
-def _cost_pass(bases, proto_labels, weights, examples, beta, kind) -> tuple[float, int, int]:
+def _cost_pass(stack, proto_labels, weights, examples, beta, kind) -> tuple[float, int, int]:
     """Summed cost, non-degenerate samples and nearest-prototype hits over (basis, label) pairs.
 
     Distances come from one :func:`_distances` call per document width.
     """
-    stack = np.asarray(bases)
     by_width: dict[int, list[int]] = {}
     for i, (doc_basis, _) in enumerate(examples):
         by_width.setdefault(doc_basis.shape[1], []).append(i)
@@ -362,10 +361,10 @@ def _cost_pass(bases, proto_labels, weights, examples, beta, kind) -> tuple[floa
     return cost, counted, correct
 
 
-def _pass_stats(training, bases, proto_labels, weights, beta, kind) -> tuple[float, float]:
+def _pass_stats(training, stack, proto_labels, weights, beta, kind) -> tuple[float, float]:
     """Mean cost and accuracy of the current state over a labeled set."""
     examples = [(ex.subspace.basis, ex.label) for ex in training]
-    cost, counted, correct = _cost_pass(bases, proto_labels, weights, examples, beta, kind)
+    cost, counted, correct = _cost_pass(stack, proto_labels, weights, examples, beta, kind)
     if counted == 0:
         raise NumericError("every training sample is degenerate (zero distances)")
     return cost / counted, correct / len(training)
@@ -394,13 +393,10 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
     dims = {ex.subspace.basis.shape[0] for ex in training}
     if len(dims) != 1:
         raise DimensionError(f"inconsistent embedding dimensions in training set: {sorted(dims)}")
-    dim = dims.pop()
     d = config.subspace_dim
 
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
-    prototypes = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)
-    stack = np.stack([p.basis for p in prototypes])
-    proto_labels = [p.label for p in prototypes]
+    stack, proto_labels = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)
     weights = np.full(d, 1.0 / d)
     rng = np.random.default_rng(shuffle_seq)
 
@@ -444,13 +440,11 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
         log.warning("skipped %d degenerate samples during training", degenerate)
 
     return ModelState(
-        prototypes=[Prototype(basis=b, label=lab) for b, lab in zip(stack, proto_labels)],
+        prototypes=stack,
+        prototype_labels=proto_labels,
         relevances=weights,
-        embedding_dim=dim,
-        subspace_dim=d,
         sigmoid_slope=beta,
         distance_kind=kind,
-        class_labels=labels,
         hyperparams={
             "lr_prototype": lr_w,
             "lr_relevance": lr_l,
@@ -466,9 +460,8 @@ def train(training: list[LabeledSubspace], config: TrainConfig, update_hook=None
 # Gradient verification
 # ---------------------------------------------------------------------------
 
-def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind):
+def total_cost_and_gradients(stack, proto_labels, weights, examples, beta, kind):
     """Cost plus its gradient w.r.t. every prototype entry and weight."""
-    stack = np.asarray(bases)
     grads_w = np.zeros_like(stack)
     grad_l = np.zeros_like(weights)
     cost = 0.0
@@ -482,7 +475,7 @@ def total_cost_and_gradients(bases, proto_labels, weights, examples, beta, kind)
         grads_w[pair] += de_dd[:, None, None] * grad_b
         grad_l += de_dd[0] * grad_w[0]
         grad_l += de_dd[1] * grad_w[1]
-    return cost, list(grads_w), grad_l
+    return cost, grads_w, grad_l
 
 
 @dataclass
@@ -509,7 +502,7 @@ def gradient_check(embedding_dim: int, subspace_dim: int, kind: str, seed: int) 
     """
     rng = np.random.default_rng(seed)
     labels = ["a", "b"]
-    bases = [random_orthonormal(embedding_dim, subspace_dim, rng) for _ in labels]
+    stack = np.stack([random_orthonormal(embedding_dim, subspace_dim, rng) for _ in labels])
     raw = 0.5 + rng.random(subspace_dim)
     weights = raw / raw.sum()
     # Keep document rank low enough that document and prototype spans are in
@@ -521,17 +514,16 @@ def gradient_check(embedding_dim: int, subspace_dim: int, kind: str, seed: int) 
         for i in range(_GRAD_CHECK_EXAMPLES)
     ]
 
-    _, grads_w, grad_l = total_cost_and_gradients(bases, labels, weights, examples, 5.0, kind)
-    analytic = np.concatenate([g.ravel() for g in grads_w] + [grad_l])
+    _, grads_w, grad_l = total_cost_and_gradients(stack, labels, weights, examples, 5.0, kind)
+    analytic = np.concatenate([grads_w.ravel(), grad_l])
 
     # One flat vector holds every parameter: prototype entries, then weights.
     # _cost_pass checks no orthonormality, so the probes may move raw entries.
-    params = np.concatenate([b.ravel() for b in bases] + [weights])
-    split = params.size - subspace_dim
-    shape = (len(bases), embedding_dim, subspace_dim)
+    params = np.concatenate([stack.ravel(), weights])
+    split = stack.size
 
     def cost(probe):
-        return _cost_pass(probe[:split].reshape(shape), labels, probe[split:],
+        return _cost_pass(probe[:split].reshape(stack.shape), labels, probe[split:],
                           examples, 5.0, kind)[0]
 
     eps = _GRAD_CHECK_EPS

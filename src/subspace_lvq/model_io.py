@@ -21,7 +21,7 @@ import numpy as np
 from .atomic import atomic_write, sha256_file
 from .errors import FormatError, reading
 from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, on_simplex, orthonormality_residual
-from .model import ModelState, Prototype
+from .model import ModelState
 
 MAGIC = b"SUBSPACE-LVQ-MODEL\n"
 FORMAT_VERSION = 1
@@ -36,6 +36,13 @@ def _int(value) -> int:
     return value
 
 
+def _number(value) -> float:
+    """A header number: a JSON integer or float, not a boolean or a string."""
+    if type(value) not in (int, float):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
 def save_model(state: ModelState, path) -> None:
     """Serialize a model atomically (write to temp file, then rename)."""
     path = Path(path)
@@ -45,8 +52,8 @@ def save_model(state: ModelState, path) -> None:
         "sigmoid_slope": state.sigmoid_slope,
         "distance_kind": state.distance_kind,
         "class_labels": state.class_labels,
-        "prototype_labels": [p.label for p in state.prototypes],
-        "prototype_shapes": [list(p.basis.shape) for p in state.prototypes],
+        "prototype_labels": state.prototype_labels,
+        "prototype_shapes": [state.prototypes.shape[1:]] * len(state.prototype_labels),
         "relevance_len": int(state.relevances.size),
         "hyperparams": state.hyperparams,
         "training_log": [[int(e), c, a] for e, c, a in state.training_log],
@@ -58,8 +65,7 @@ def save_model(state: ModelState, path) -> None:
         handle.write(struct.pack("<Q", len(header_bytes)))
         handle.write(header_bytes)
         handle.write(np.ascontiguousarray(state.relevances, dtype=_F64LE).tobytes())
-        for proto in state.prototypes:
-            handle.write(np.ascontiguousarray(proto.basis, dtype=_F64LE).tobytes())
+        handle.write(np.ascontiguousarray(state.prototypes, dtype=_F64LE).tobytes())
 
 
 def load_model(path) -> ModelState:
@@ -69,8 +75,9 @@ def load_model(path) -> ModelState:
     dimensions are positive, the sigmoid slope is finite and positive, every
     prototype is an orthonormal ``(embedding_dim, subspace_dim)`` basis, the
     relevances are ``subspace_dim`` finite values on the simplex, and
-    ``class_labels`` is the sorted set of at least two prototype labels.  Any
-    violation raises :class:`FormatError`.
+    ``class_labels`` is the sorted set of at least two prototype labels.  Every
+    header value has its JSON type: no string or boolean passes for a number.
+    Any violation raises :class:`FormatError`.
     """
     path = Path(path)
     with reading(path, "model file"):
@@ -90,10 +97,12 @@ def load_model(path) -> ModelState:
 
         labels, shapes = header["prototype_labels"], header["prototype_shapes"]
         dim, d = _int(header["embedding_dim"]), _int(header["subspace_dim"])
-        class_labels = list(header["class_labels"])
-        slope, kind = float(header["sigmoid_slope"]), header["distance_kind"]
-        hyperparams = dict(header["hyperparams"])
-        training_log = [(_int(e), float(c), float(a)) for e, c, a in header["training_log"]]
+        class_labels = header["class_labels"]
+        slope, kind = _number(header["sigmoid_slope"]), header["distance_kind"]
+        hyperparams = header["hyperparams"]
+        if (type(labels), type(class_labels), type(hyperparams)) != (list, list, dict):
+            raise TypeError("label lists must be JSON arrays and hyperparams a JSON object")
+        training_log = [(_int(e), _number(c), _number(a)) for e, c, a in header["training_log"]]
         if dim < 1 or d < 1:
             raise ValueError(f"dimensions must be positive, got embedding_dim {dim}, "
                              f"subspace_dim {d}")
@@ -142,13 +151,11 @@ def load_model(path) -> ModelState:
         raise FormatError(f"class_labels {class_labels} are not the sorted prototype labels "
                           f"{sorted(set(labels))}", path=path)
     return ModelState(
-        prototypes=[Prototype(basis=basis, label=label) for basis, label in zip(stack, labels)],
+        prototypes=stack,
+        prototype_labels=tuple(labels),
         relevances=relevances,
-        embedding_dim=dim,
-        subspace_dim=d,
         sigmoid_slope=slope,
         distance_kind=kind,
-        class_labels=class_labels,
         hyperparams=hyperparams,
         training_log=training_log,
     )

@@ -187,10 +187,10 @@ def test_criterion_04_oracle_equivalence(trained):
     mismatches = 0
     for ex in trained.test_examples[:100]:
         label, _ = classify(ex.subspace, model)
-        table = [eigen_oracle_distance(ex.subspace.basis, p.basis, lam,
+        table = [eigen_oracle_distance(ex.subspace.basis, basis, lam,
                                        model.distance_kind)
-                 for p in model.prototypes]
-        oracle_label = model.prototypes[int(np.argmin(table))].label
+                 for basis in model.prototypes]
+        oracle_label = model.prototype_labels[int(np.argmin(table))]
         if label != oracle_label:
             mismatches += 1
     ok = angles_ok and mismatches == 0
@@ -226,13 +226,12 @@ def test_criterion_05_synthetic_end_to_end(trained):
 
 def test_criterion_06_score_contract(trained):
     # exact half at the decision boundary
-    from subspace_lvq.model import ModelState, Prototype
+    from subspace_lvq.model import ModelState
     boundary_model = ModelState(
-        prototypes=[Prototype(np.eye(3)[:, [0]], "pos"),
-                    Prototype(np.eye(3)[:, [1]], "neg")],
+        prototypes=np.stack([np.eye(3)[:, [0]], np.eye(3)[:, [1]]]),
+        prototype_labels=("pos", "neg"),
         relevances=np.array([1.0]),
-        embedding_dim=3, subspace_dim=1, sigmoid_slope=5.0,
-        distance_kind=CHORDAL, class_labels=["neg", "pos"])
+        sigmoid_slope=5.0, distance_kind=CHORDAL)
     doc = Subspace("mid", np.array([[1.0], [1.0], [0.0]]) / np.sqrt(2.0))
     half_exact = score(doc, boundary_model, "pos") == 0.5
 
@@ -246,7 +245,7 @@ def test_criterion_06_score_contract(trained):
     # closed-form agreement on the trained model within 1e-12
     model = trained.model
     worst = 0.0
-    labels = model.prototype_labels()
+    labels = model.prototype_labels
     for ex in trained.test_examples[:50]:
         value = score(ex.subspace, model, "topic_a")
         _, dists = classify(ex.subspace, model)

@@ -10,7 +10,10 @@ import pytest
 
 from subspace_lvq import cli
 from subspace_lvq.cli import main, parse_bands, read_config_file
-from subspace_lvq.corpus import read_scored
+from subspace_lvq.corpus import ingest, prepare_document, read_scored
+from subspace_lvq.embedding import load_embeddings, load_stopwords
+from subspace_lvq.model import classify
+from subspace_lvq.model_io import load_model
 from subspace_lvq.errors import UsageError
 
 
@@ -216,6 +219,32 @@ class TestScoringFlow:
         assert rows[0][:2] == ["case_id", "predicted_label"]
         assert len(rows) > 1
 
+    def test_predict_lists_every_prototype_distance_in_stack_order(self, workspace, tmp_path):
+        data, run = workspace["data"], workspace["run"]
+        emb = str(data / "embeddings.txt")
+        assert main(["train", "--embeddings", emb, "--corpus", str(run / "train.jsonl"),
+                     "--out", str(tmp_path / "train"), "--d", "6", "--epochs", "2",
+                     "--seed", "3", "--per-class", "2"]) == 0
+        model_path = tmp_path / "train" / "model.bin"
+        assert main(["predict", "--model", str(model_path), "--corpus", str(run / "test.jsonl"),
+                     "--embeddings", emb, "--out", str(tmp_path / "pred")]) == 0
+        with (tmp_path / "pred" / "predictions.csv").open() as handle:
+            header, *rows = list(csv.reader(handle))
+
+        model = load_model(model_path)
+        assert model.prototype_labels == ("topic_a", "topic_a", "topic_b", "topic_b")
+        assert header == ["case_id", "predicted_label", "dist_0_topic_a", "dist_1_topic_a",
+                          "dist_2_topic_b", "dist_3_topic_b"]
+        table, stoplist = load_embeddings(emb), load_stopwords()
+        records = {rec.case_id: rec for rec in ingest(run / "test.jsonl")}
+        assert [row[0] for row in rows] == list(records)
+        for case_id, predicted, *dists in rows:
+            _, _, sub = prepare_document(case_id, records[case_id].text, table, stoplist,
+                                         model.subspace_dim)
+            label, expected = classify(sub, model)
+            assert predicted == label
+            assert dists == [format(v, ".17g") for v in expected]
+
 
 class TestGradCheckCommand:
     def test_passes_and_prints_error(self, capsys):
@@ -384,6 +413,30 @@ class TestDimensionMismatch:
 
 
 class TestFailedRuns:
+    def test_score_corpus_that_scores_nothing_keeps_its_skip_list(self, workspace, tmp_path,
+                                                                  capsys):
+        corpus = tmp_path / "oov.jsonl"
+        corpus.write_text(json.dumps({"case_id": "o1", "text": "qzxv wqrt"}) + "\n"
+                          + json.dumps({"case_id": "o2", "text": "zzkq"}) + "\n")
+        out = tmp_path / "scored"
+        code = main(["score-corpus", "--model", str(workspace["run"] / "model.bin"),
+                     "--corpus", str(corpus),
+                     "--embeddings", str(workspace["data"] / "embeddings.txt"),
+                     "--positive-label", "topic_a", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: data: nothing to rank\n"
+        with (out / "skipped.csv").open() as handle:
+            assert list(csv.reader(handle)) == [
+                ["case_id", "reason"],
+                ["o1", "document 'o1' has no embeddable tokens"],
+                ["o2", "document 'o2' has no embeddable tokens"]]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "failed"
+        assert manifest["skipped"] == 2
+        assert "scored" not in manifest
+        assert manifest["outputs"] == [str(out / "skipped.csv")]
+        assert not (out / "scored.csv").exists()
+
     def test_evaluate_on_an_unlabeled_record(self, workspace, tmp_path, capsys):
         corpus = tmp_path / "unlabeled.jsonl"
         corpus.write_text((workspace["run"] / "test.jsonl").read_text()

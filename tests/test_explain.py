@@ -7,21 +7,18 @@ from subspace_lvq.embedding import EmbeddingTable, WordMatrix
 from subspace_lvq.errors import DataError
 from subspace_lvq.explain import explanation_report, word_impacts
 from subspace_lvq.geometry import qr_retract
-from subspace_lvq.model import ModelState, Prototype
+from subspace_lvq.model import ModelState
 from subspace_lvq.subspace import compute_subspace
 
 
 def tiny_model(bases, labels, relevances=None, beta=5.0):
     d = bases[0].shape[1]
     return ModelState(
-        prototypes=[Prototype(basis=np.asarray(b, float), label=l)
-                    for b, l in zip(bases, labels)],
+        prototypes=np.array(bases, float),
+        prototype_labels=tuple(labels),
         relevances=np.full(d, 1.0 / d) if relevances is None else relevances,
-        embedding_dim=bases[0].shape[0],
-        subspace_dim=d,
         sigmoid_slope=beta,
         distance_kind="chordal",
-        class_labels=sorted(set(labels)),
     )
 
 
@@ -85,8 +82,8 @@ class TestWordImpacts:
 
         impacts = {wi.word: wi.impact for wi in word_impacts(matrix, doc, model)}
         for j, tok in enumerate(tokens):
-            expected = (energy(matrix.columns[:, j], model.prototypes[winner].basis)
-                        - energy(matrix.columns[:, j], model.prototypes[competitor].basis))
+            expected = (energy(matrix.columns[:, j], model.prototypes[winner])
+                        - energy(matrix.columns[:, j], model.prototypes[competitor]))
             assert impacts[tok] == pytest.approx(expected, abs=1e-10)
 
     def test_word_order_permutation_invariance(self):

@@ -19,7 +19,6 @@ from subspace_lvq.geometry import (
 from subspace_lvq.model import (
     CentroidModel,
     ModelState,
-    Prototype,
     TrainConfig,
     _pass_stats,
     _sample_step,
@@ -47,14 +46,11 @@ def sub(basis, doc_id="doc"):
 def tiny_model(bases, labels, beta=5.0, kind=CHORDAL, relevances=None):
     d = bases[0].shape[1]
     return ModelState(
-        prototypes=[Prototype(basis=np.asarray(b, dtype=float), label=l)
-                    for b, l in zip(bases, labels)],
+        prototypes=np.array(bases, dtype=float),
+        prototype_labels=tuple(labels),
         relevances=np.full(d, 1.0 / d) if relevances is None else relevances,
-        embedding_dim=bases[0].shape[0],
-        subspace_dim=d,
         sigmoid_slope=beta,
         distance_kind=kind,
-        class_labels=sorted(set(labels)),
     )
 
 
@@ -152,25 +148,25 @@ class TestDistanceOp:
     def test_rotation_invariance(self):
         rng = np.random.default_rng(2)
         doc_basis = random_orthonormal(10, 3, rng)
-        proto = Prototype(basis=random_orthonormal(10, 4, rng), label="a")
+        proto = random_orthonormal(10, 4, rng)
         lam = np.array([0.4, 0.3, 0.2, 0.1])
         base = distance(sub(doc_basis), proto, lam, CHORDAL)
-        rot = proto.basis @ qr_retract(rng.standard_normal((4, 4)))
-        rotated = distance(sub(doc_basis), Prototype(basis=rot, label="a"), lam, CHORDAL)
+        rot = proto @ qr_retract(rng.standard_normal((4, 4)))
+        rotated = distance(sub(doc_basis), rot, lam, CHORDAL)
         assert rotated == pytest.approx(base, abs=1e-10)
 
     def test_invalid_weights_rejected(self):
-        proto = Prototype(basis=np.eye(3)[:, :2], label="a")
+        proto = np.eye(3)[:, :2]
         with pytest.raises(DataError):
             distance(sub(np.eye(3)[:, :2]), proto, np.array([0.9, 0.3]), CHORDAL)
 
     def test_nan_weight_rejected(self):
-        proto = Prototype(basis=np.eye(3)[:, :2], label="a")
+        proto = np.eye(3)[:, :2]
         with pytest.raises(DataError, match="relevance weights"):
             distance(sub(np.eye(3)[:, :2]), proto, np.array([np.nan, 1.0]), CHORDAL)
 
     def test_ambient_dimension_mismatch_rejected(self):
-        proto = Prototype(basis=np.eye(3)[:, :2], label="a")
+        proto = np.eye(3)[:, :2]
         with pytest.raises(DimensionError, match="ambient dimensions differ: 4 vs 3"):
             distance(sub(np.eye(4)[:, :2]), proto, np.array([0.5, 0.5]), CHORDAL)
 
@@ -186,26 +182,26 @@ class TestInitPrototypes:
     def test_single_document_span_contained(self):
         rng = np.random.default_rng(3)
         training, basis = self.one_doc_training(rng)
-        protos = init_prototypes(training, per_class=1, d=4, seed=0)
-        assert [p.label for p in protos] == ["a", "b"]
-        p_a = protos[0].basis
-        assert p_a.shape == (6, 4)
+        protos, labels = init_prototypes(training, per_class=1, d=4, seed=0)
+        assert labels == ("a", "b")
+        p_a = protos[0]
+        assert protos.shape == (2, 6, 4)
         assert orthonormality_residual(p_a) < 1e-10
         # the document span must lie inside the padded prototype span
         residual = basis - p_a @ (p_a.T @ basis)
         assert np.linalg.norm(residual) < 1e-10
         # every column, the random ones too, has its largest-magnitude entry positive
         for p in protos:
-            largest = np.argmax(np.abs(p.basis), axis=0)
-            assert np.all(p.basis[largest, np.arange(p.basis.shape[1])] > 0)
+            largest = np.argmax(np.abs(p), axis=0)
+            assert np.all(p[largest, np.arange(p.shape[1])] > 0)
 
     def test_same_seed_reproduces(self):
         rng = np.random.default_rng(4)
         training, _ = self.one_doc_training(rng)
-        a = init_prototypes(training, per_class=2, d=3, seed=42)
-        b = init_prototypes(training, per_class=2, d=3, seed=42)
-        for pa, pb in zip(a, b):
-            np.testing.assert_array_equal(pa.basis, pb.basis)
+        a, a_labels = init_prototypes(training, per_class=2, d=3, seed=42)
+        b, b_labels = init_prototypes(training, per_class=2, d=3, seed=42)
+        assert a_labels == b_labels == ("a", "a", "b", "b")
+        np.testing.assert_array_equal(a, b)
 
     def test_stacked_orthogonal_rank_one_documents(self):
         # three mutually orthogonal rank-1 documents: the initial basis must
@@ -213,8 +209,7 @@ class TestInitPrototypes:
         docs = [np.eye(7)[:, [i]] for i in range(3)]
         training = [LabeledSubspace(sub(b, f"a{i}"), "a") for i, b in enumerate(docs)]
         training.append(LabeledSubspace(sub(np.eye(7)[:, [6]], "b0"), "b"))
-        protos = init_prototypes(training, per_class=1, d=3, seed=1)
-        p_a = protos[0].basis
+        p_a = init_prototypes(training, per_class=1, d=3, seed=1)[0][0]
         projector = p_a @ p_a.T
         for doc in docs:
             np.testing.assert_allclose(projector @ doc, doc, atol=1e-10)
@@ -272,6 +267,44 @@ class TestTrainConfig:
             TrainConfig(subspace_dim=3)
 
 
+class TestModelState:
+    """A model is its prototype stack and labels; the rest is read from them."""
+
+    def model(self):
+        rng = np.random.default_rng(11)
+        return tiny_model([random_orthonormal(6, 2, rng) for _ in range(3)], ["b", "a", "b"])
+
+    def test_fields_cannot_be_assigned(self):
+        state = self.model()
+        for field in dataclasses.fields(state):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(state, field.name, None)
+
+    def test_dimensions_and_classes_follow_the_stack_and_labels(self):
+        state = self.model()
+        assert (state.embedding_dim, state.subspace_dim) == (6, 2)
+        assert state.class_labels == ["a", "b"]
+        narrower = dataclasses.replace(state, prototypes=state.prototypes[:2, :5, :1],
+                                       prototype_labels=("c", "a"), relevances=np.ones(1))
+        assert (narrower.embedding_dim, narrower.subspace_dim) == (5, 1)
+        assert narrower.class_labels == ["a", "c"]
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"prototype_labels": ("a", "b")}, "2 labels and (2,) relevances do not fit a (3, 6, 2)"),
+        ({"relevances": np.full(3, 1.0 / 3.0)}, "3 labels and (3,) relevances do not fit a (3, 6, 2)"),
+        ({"prototypes": np.eye(6)[:, :2]}, "3 labels and (2,) relevances do not fit a (6, 2)"),
+    ], ids=["labels", "relevances", "unstacked"])
+    def test_fields_that_disagree_are_rejected(self, changes, message):
+        with pytest.raises(DimensionError) as err:
+            dataclasses.replace(self.model(), **changes)
+        assert str(err.value) == f"{message} prototype stack"
+
+    def test_fields_are_keyword_only(self):
+        state = self.model()
+        with pytest.raises(TypeError):
+            ModelState(state.prototypes, state.prototype_labels, state.relevances, 5.0, CHORDAL)
+
+
 def separable_toy(d=3):
     """Two orthogonal rank-2 documents in R^8, one per class."""
     return [
@@ -294,7 +327,7 @@ class TestTrain:
         with pytest.raises(DimensionError, match="dimension 8 equals embedding dimension 8"):
             train(separable_toy(), TrainConfig(subspace_dim=8, seed=0, epochs=1))
         state = train(separable_toy(), TrainConfig(subspace_dim=7, seed=0, epochs=1))
-        assert all(p.basis.shape == (8, 7) for p in state.prototypes)
+        assert state.prototypes.shape == (2, 8, 7)
 
     def test_separable_toy_one_epoch(self):
         training = separable_toy()
@@ -320,8 +353,7 @@ class TestTrain:
         s1 = train(training, config)
         s2 = train(training, config)
         np.testing.assert_array_equal(s1.relevances, s2.relevances)
-        for p1, p2 in zip(s1.prototypes, s2.prototypes):
-            np.testing.assert_array_equal(p1.basis, p2.basis)
+        np.testing.assert_array_equal(s1.prototypes, s2.prototypes)
         assert s1.training_log == s2.training_log
 
     def test_manifold_invariants_hold_after_every_update(self):
@@ -411,7 +443,7 @@ class TestTrain:
 
         # train's documented seeding: init and shuffle streams spawned from the seed
         init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
-        bases = [p.basis for p in init_prototypes(training, 1, 3, seed=init_seq)]
+        bases, _ = init_prototypes(training, 1, 3, seed=init_seq)
         weights = np.full(3, 1.0 / 3.0)
         first = training[int(np.random.default_rng(shuffle_seq).permutation(2)[0])]
         _, grads_w, grad_l = total_cost_and_gradients(

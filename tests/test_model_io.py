@@ -22,7 +22,7 @@ from subspace_lvq.geometry import (
     orthonormality_residual,
     qr_retract,
 )
-from subspace_lvq.model import ModelState, Prototype, classify, score
+from subspace_lvq.model import ModelState, classify, score
 from subspace_lvq.model_io import MAGIC, load_model, model_checksum, save_model
 from subspace_lvq.subspace import Subspace
 
@@ -31,13 +31,11 @@ def build_state(rng):
     bases = [qr_retract(rng.standard_normal((12, 4))) for _ in range(2)]
     raw = rng.random(4) + 0.25
     return ModelState(
-        prototypes=[Prototype(basis=b, label=l) for b, l in zip(bases, ["neg", "pos"])],
+        prototypes=np.stack(bases),
+        prototype_labels=("neg", "pos"),
         relevances=raw / raw.sum(),
-        embedding_dim=12,
-        subspace_dim=4,
         sigmoid_slope=5.0,
         distance_kind="chordal",
-        class_labels=["neg", "pos"],
         hyperparams={"lr_prototype": 0.05, "lr_relevance": 0.005,
                      "epochs": 7, "seed": 3, "prototypes_per_class": 1},
         training_log=[(0, 0.43120984218, 0.5), (1, 0.1299871234, 0.96875)],
@@ -54,13 +52,11 @@ class TestModelRoundTrip:
         assert loaded.subspace_dim == state.subspace_dim
         assert loaded.sigmoid_slope == state.sigmoid_slope
         assert loaded.distance_kind == state.distance_kind
-        assert loaded.class_labels == state.class_labels
+        assert loaded.prototype_labels == state.prototype_labels
         assert loaded.hyperparams == state.hyperparams
         assert loaded.training_log == state.training_log
         np.testing.assert_array_equal(loaded.relevances, state.relevances)
-        for orig, back in zip(state.prototypes, loaded.prototypes):
-            assert back.label == orig.label
-            np.testing.assert_array_equal(back.basis, orig.basis)
+        np.testing.assert_array_equal(loaded.prototypes, state.prototypes)
 
     def test_scores_bit_exact_after_reload(self, tmp_path):
         rng = np.random.default_rng(1)
@@ -161,6 +157,15 @@ class TestModelValidation:
         lambda h: h.__setitem__("prototype_shapes", [[12, 4], [12, 4, 1]]),
         lambda h: h.__setitem__("training_log", [[False, 0.43, 0.5], [True, 0.13, 0.97]]),
         lambda h: h.__setitem__("training_log", [[0, 0.43, 0.5], [1.5, 0.13, 0.97]]),
+        # number fields take JSON numbers only: no strings, no booleans
+        lambda h: h.__setitem__("sigmoid_slope", "5.0"),
+        lambda h: h.__setitem__("sigmoid_slope", True),
+        lambda h: h.__setitem__("training_log", [[0, "0.5", "1"], [1, 0.13, 0.97]]),
+        lambda h: h.__setitem__("training_log", [[0, 0.43, 0.5], [1, True, 0.5]]),
+        # label lists are JSON arrays and hyperparams a JSON object
+        lambda h: h.update(class_labels="ab", prototype_labels=["a", "b"]),
+        lambda h: h.update(prototype_labels="ab", class_labels=["a", "b"]),
+        lambda h: h.__setitem__("hyperparams", [["lr_prototype", 0.05]]),
     ])
     def test_malformed_header_values_rejected(self, tmp_path, edit):
         path = self.saved(tmp_path)
@@ -180,27 +185,36 @@ class TestModelValidation:
             load_model(path)
 
 
-def saved_variant(tmp_path, **changes):
-    """Save ``build_state`` with some fields replaced; ``save_model`` checks nothing."""
+def saved_state(tmp_path):
+    """``build_state`` and the path it was saved to; ``save_model`` checks nothing."""
     state = build_state(np.random.default_rng(8))
-    for name, value in changes.items():
-        setattr(state, name, value(state) if callable(value) else value)
     path = tmp_path / "model.bin"
     save_model(state, path)
+    return state, path
+
+
+def rewrite_arrays(path, relevances, stack):
+    """Overwrite a saved container's relevances and prototype stack, the file's last bytes."""
+    tail = np.concatenate([relevances, stack.ravel()]).astype("<f8").tobytes()
+    blob = path.read_bytes()
+    path.write_bytes(blob[:len(blob) - len(tail)] + tail)
+
+
+def saved_with_header(tmp_path, edit):
+    """``build_state`` saved, with its JSON header rewritten by ``edit(header)``."""
+    _, path = saved_state(tmp_path)
+    rewrite_header(path, edit)
     return path
 
 
 class TestModelInvariants:
     def test_prototype_shapes_must_match_the_dimensions(self, tmp_path):
-        rng = np.random.default_rng(9)
-        path = saved_variant(tmp_path, prototypes=[
-            Prototype(basis=qr_retract(rng.standard_normal((12, 4))), label="neg"),
-            Prototype(basis=qr_retract(rng.standard_normal((12, 3))), label="pos")])
+        path = saved_with_header(tmp_path, lambda h: h.update(prototype_shapes=[[12, 4], [12, 3]]))
         with pytest.raises(FormatError, match=r"prototype 1 has shape \(12, 3\), expected \(12, 4\)"):
             load_model(path)
 
     def test_relevance_length_must_equal_subspace_dim(self, tmp_path):
-        path = saved_variant(tmp_path, relevances=np.full(3, 1.0 / 3.0))
+        path = saved_with_header(tmp_path, lambda h: h.update(relevance_len=3))
         with pytest.raises(FormatError, match="relevance_len 3 differs from subspace_dim 4"):
             load_model(path)
 
@@ -209,36 +223,36 @@ class TestModelInvariants:
         lambda s: s.relevances + np.array([0.5, -0.5, 0.0, 0.0]),
     ])
     def test_relevances_must_lie_on_the_simplex(self, tmp_path, relevances):
-        path = saved_variant(tmp_path, relevances=relevances)
+        state, path = saved_state(tmp_path)
+        rewrite_arrays(path, relevances(state), state.prototypes)
         with pytest.raises(FormatError, match="simplex"):
             load_model(path)
 
     def test_prototypes_must_be_orthonormal(self, tmp_path):
-        path = saved_variant(tmp_path, prototypes=lambda s: [
-            Prototype(basis=s.prototypes[0].basis, label="neg"),
-            Prototype(basis=1.01 * s.prototypes[1].basis, label="pos")])
+        state, path = saved_state(tmp_path)
+        rewrite_arrays(path, state.relevances, state.prototypes * np.array([1.0, 1.01])[:, None, None])
         with pytest.raises(FormatError, match="prototype 1 is not orthonormal"):
             load_model(path)
 
     @pytest.mark.parametrize("class_labels", [["neg", "zzz"], ["pos", "neg"], ["neg"]])
     def test_class_labels_must_be_the_sorted_prototype_labels(self, tmp_path, class_labels):
-        path = saved_variant(tmp_path, class_labels=class_labels)
+        path = saved_with_header(tmp_path, lambda h: h.update(class_labels=class_labels))
         with pytest.raises(FormatError, match="class_labels"):
             load_model(path)
 
     def test_unknown_distance_kind_rejected(self, tmp_path):
-        path = saved_variant(tmp_path, distance_kind="cosine")
+        path = saved_with_header(tmp_path, lambda h: h.update(distance_kind="cosine"))
         with pytest.raises(FormatError, match="unknown distance kind 'cosine'"):
             load_model(path)
 
     def test_single_class_model_rejected(self, tmp_path):
-        path = saved_variant(tmp_path, class_labels=["neg"],
-                             prototypes=lambda s: s.prototypes[:1])
+        path = saved_with_header(
+            tmp_path, lambda h: h.update(class_labels=["neg"], prototype_labels=["neg", "neg"]))
         with pytest.raises(FormatError, match="fewer than two classes"):
             load_model(path)
 
     def test_non_string_labels_rejected(self, tmp_path):
-        path = saved_variant(tmp_path, class_labels=["neg", 5])
+        path = saved_with_header(tmp_path, lambda h: h.update(class_labels=["neg", 5]))
         with pytest.raises(FormatError, match="must be strings"):
             load_model(path)
 
@@ -270,15 +284,16 @@ def assert_invariants(model):
     assert model.embedding_dim >= 1 and model.subspace_dim >= 1
     assert math.isfinite(model.sigmoid_slope) and model.sigmoid_slope > 0
     assert model.distance_kind in DISTANCE_KINDS
-    assert all(isinstance(label, str) for label in model.class_labels)
+    assert all(isinstance(label, str) for label in model.prototype_labels)
     assert len(model.class_labels) >= 2
-    assert model.class_labels == sorted(set(model.prototype_labels()))
+    assert type(model.hyperparams) is dict
+    assert all(type(e) is int and type(c) is float and type(a) is float
+               for e, c, a in model.training_log)
     weights = model.relevances
     assert weights.shape == (model.subspace_dim,) and np.isfinite(weights).all()
     assert (weights >= 0).all() and abs(weights.sum() - 1.0) <= 1e-12
-    for proto in model.prototypes:
-        assert proto.basis.shape == (model.embedding_dim, model.subspace_dim)
-        assert orthonormality_residual(proto.basis) <= ORTHONORMAL_TOL
+    assert model.prototypes.shape[0] == len(model.prototype_labels)
+    assert (orthonormality_residual(model.prototypes) <= ORTHONORMAL_TOL).all()
     doc = qr_retract(np.random.default_rng(0).standard_normal((model.embedding_dim, 1)))
     label, dists = classify(Subspace("doc", doc), model)
     assert label in model.class_labels and np.isfinite(dists).all()

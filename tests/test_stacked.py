@@ -35,7 +35,6 @@ from subspace_lvq.geometry import (
 )
 from subspace_lvq.model import (
     ModelState,
-    Prototype,
     TrainConfig,
     _distances,
     _positive_probability,
@@ -120,7 +119,7 @@ def old_sample_terms(dists, correct_mask, beta):
 
 def old_positive_probability(dists, model, positive_label):
     """Nearest positive and negative distances by ``min``, then their sigmoid."""
-    labels = model.prototype_labels()
+    labels = model.prototype_labels
     pos = min(d for d, lab in zip(dists, labels) if lab == positive_label)
     neg = min(d for d, lab in zip(dists, labels) if lab != positive_label)
     total = pos + neg
@@ -134,9 +133,9 @@ def old_sgd(training, config):
     d, kind, beta = config.subspace_dim, config.distance_kind, config.beta
     lr_w, lr_l = config.lr_prototype, config.lr_relevance
     init_seq, shuffle_seq = np.random.SeedSequence(config.seed).spawn(2)
-    prototypes = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)
-    bases = [p.basis.copy() for p in prototypes]
-    masks = {lab: np.array([p.label == lab for p in prototypes])
+    stack, labels = init_prototypes(training, config.prototypes_per_class, d, seed=init_seq)
+    bases = [basis.copy() for basis in stack]
+    masks = {lab: np.array([label == lab for label in labels])
              for lab in {ex.label for ex in training}}
     weights = np.full(d, 1.0 / d)
     rng = np.random.default_rng(shuffle_seq)
@@ -272,9 +271,9 @@ class TestPositiveProbability:
     def test_matches_min_winners_on_drawn_distances(self, rows, beta):
         assume(any(p for _, p in rows) and not all(p for _, p in rows))
         model = ModelState(
-            prototypes=[Prototype(np.eye(2)[:, :1], "pos" if p else "neg") for _, p in rows],
-            relevances=np.ones(1), embedding_dim=2, subspace_dim=1, sigmoid_slope=beta,
-            distance_kind=CHORDAL, class_labels=["neg", "pos"])
+            prototypes=np.stack([np.eye(2)[:, :1]] * len(rows)),
+            prototype_labels=tuple("pos" if p else "neg" for _, p in rows),
+            relevances=np.ones(1), sigmoid_slope=beta, distance_kind=CHORDAL)
         dists = np.array([dist for dist, _ in rows])
         try:
             expected = old_positive_probability(dists, model, "pos")
@@ -303,7 +302,7 @@ class TestStackedTraining:
         bases, weights = old_sgd(training, config)
         assert state.relevances.tobytes() == weights.tobytes()
         for proto, basis in zip(state.prototypes, bases):
-            assert proto.basis.tobytes() == basis.tobytes()
+            assert proto.tobytes() == basis.tobytes()
 
 
 def projector(basis):
