@@ -369,7 +369,7 @@ def cmd_predict(run: Run) -> int:
     state, table, stoplist, records = _model_inputs(run)
 
     def predict_one(rec):
-        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, state.subspace_dim)
+        _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, state.subspace_dim)
         label, dists = classify(sub, state)
         return [rec.case_id, label] + [format(v, ".17g") for v in dists]
 

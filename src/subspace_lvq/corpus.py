@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import EmbeddingTable, PreprocessedDoc, WordMatrix, embed, preprocess
+from .embedding import EmbeddingTable, WordMatrix, embed, preprocess
 from .errors import (DataError, DimensionError, EmptyDocumentError, FormatError, UsageError,
                      map_records, reading)
 from .model import ModelState, _positive_probability, check_positive_label, classify
@@ -60,12 +60,48 @@ class CalibrationReport:
     threshold_score: float | None      # lowest band boundary meeting the target
 
 
+def read_records(path, what: str):
+    """Yield ``(line number, object)`` for each record of a JSON-lines file.
+
+    Blank lines are skipped.  Every other line must be a JSON object with a
+    non-empty string ``case_id`` that no earlier line holds; a line that is
+    not raises :class:`FormatError` (a repeated id :class:`DataError`)
+    naming ``path`` and the line.  ``what`` names the file in a read error.
+    """
+    path = Path(path)
+    seen: set[str] = set()
+    with reading(path, what), path.open("r", encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"malformed record: {exc}", path=path, line=lineno) from exc
+            if not isinstance(obj, dict):
+                raise FormatError("record is not an object", path=path, line=lineno)
+            case_id = obj.get("case_id")
+            if not isinstance(case_id, str) or not case_id:
+                raise FormatError("missing or invalid 'case_id'", path=path, line=lineno)
+            if case_id in seen:
+                raise DataError(f"{path}:{lineno}: duplicate case id {case_id!r}")
+            seen.add(case_id)
+            yield lineno, obj
+
+
+def write_records(objects, path) -> None:
+    """Write each object as one line of JSON, non-ASCII text as raw UTF-8."""
+    with Path(path).open("w", encoding="utf-8") as handle:
+        for obj in objects:
+            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+
+
 def ingest(path) -> list[CaseRecord]:
     """Load a corpus from a JSON-lines file or a directory of .txt files.
 
-    JSON-lines records carry ``case_id``, ``text``, optional ``label`` and
-    optional ``tags``.  For a directory, each file's stem becomes the case
-    id.  Duplicate ids and empty corpora are errors.
+    JSON-lines records follow :func:`read_records` and carry ``text``,
+    optional ``label`` and optional ``tags``.  For a directory, each file's
+    stem becomes the case id.  Duplicate ids and empty corpora are errors.
     """
     path = Path(path)
     records: list[CaseRecord] = []
@@ -77,32 +113,15 @@ def ingest(path) -> list[CaseRecord]:
                 raise FormatError("empty case text", path=file)
             records.append(CaseRecord(case_id=file.stem, text=text))
     else:
-        seen: set[str] = set()   # a directory cannot repeat a file stem
-        with reading(path, "corpus"), path.open("r", encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, start=1):
-                if not line.strip():
-                    continue
-                rec = _parse_record(line, path, lineno)
-                if rec.case_id in seen:
-                    raise DataError(f"{path}:{lineno}: duplicate case id {rec.case_id!r}")
-                seen.add(rec.case_id)
-                records.append(rec)
+        records = [_parse_record(obj, path, lineno)
+                   for lineno, obj in read_records(path, "corpus")]
     if not records:
         raise DataError(f"{path}: empty corpus")
     return records
 
 
-def _parse_record(line: str, path, lineno: int) -> CaseRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"malformed record: {exc}", path=path, line=lineno) from exc
-    if not isinstance(obj, dict):
-        raise FormatError("record is not an object", path=path, line=lineno)
-    case_id = obj.get("case_id")
+def _parse_record(obj: dict, path, lineno: int) -> CaseRecord:
     text = obj.get("text")
-    if not isinstance(case_id, str) or not case_id:
-        raise FormatError("missing or invalid 'case_id'", path=path, line=lineno)
     if not isinstance(text, str) or not text.strip():
         raise FormatError("missing or empty 'text'", path=path, line=lineno)
     label = obj.get("label")
@@ -113,19 +132,13 @@ def _parse_record(line: str, path, lineno: int) -> CaseRecord:
         isinstance(tags, list) and all(isinstance(t, str) for t in tags)
     ):
         raise FormatError("'tags' must be an array of strings", path=path, line=lineno)
-    return CaseRecord(case_id=case_id, text=text, label=label, tags=tags)
+    return CaseRecord(case_id=obj["case_id"], text=text, label=label, tags=tags)
 
 
 def write_corpus(records: list[CaseRecord], path) -> None:
     """Write records in the JSON-lines corpus format."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for rec in records:
-            obj = {"case_id": rec.case_id, "text": rec.text}
-            if rec.label is not None:
-                obj["label"] = rec.label
-            if rec.tags is not None:
-                obj["tags"] = rec.tags
-            handle.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_records(({key: value for key, value in vars(rec).items()
+                    if value is not None} for rec in records), path)
 
 
 def check_train_fraction(train_fraction: float) -> float:
@@ -174,13 +187,13 @@ def split(records: list[CaseRecord], train_fraction: float, seed) -> tuple[list[
 
 def prepare_document(
     case_id: str, text: str, table: EmbeddingTable, stoplist, d: int
-) -> tuple[PreprocessedDoc, WordMatrix, Subspace]:
-    """Tokenize, embed and reduce one document to its subspace."""
+) -> tuple[WordMatrix, Subspace]:
+    """Tokenize, embed and reduce one document to its word matrix and subspace."""
     doc = preprocess(case_id, text, stoplist)
     if not doc.kept_tokens:
         raise EmptyDocumentError(case_id, f"document {case_id!r} is empty after preprocessing")
     matrix = embed(doc, table)
-    return doc, matrix, compute_subspace(matrix, d)
+    return matrix, compute_subspace(matrix, d)
 
 
 def corpus_to_subspaces(
@@ -192,7 +205,7 @@ def corpus_to_subspaces(
             raise DataError(f"record {rec.case_id!r} lacks a label")
 
     def subspace_of(rec):
-        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, d)
+        _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, d)
         return LabeledSubspace(subspace=sub, label=rec.label)
 
     return map_records(records, subspace_of)
@@ -218,7 +231,7 @@ def batch_score(
     check_positive_label(model, positive_label)
 
     def score_one(rec):
-        _, _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, model.subspace_dim)
+        _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, model.subspace_dim)
         predicted, dists = classify(sub, model)
         return ScoredCase(case_id=rec.case_id, predicted_label=predicted,
                           score=_positive_probability(dists, model, positive_label))
@@ -431,29 +444,16 @@ def read_scored(path) -> list[ScoredCase]:
 
 
 def read_annotations(path) -> dict[str, bool]:
-    """JSON-lines annotations: {"case_id": ..., "positive": true|false}."""
-    path = Path(path)
+    """JSON-lines annotations: :func:`read_records` objects with a boolean ``positive``."""
     out: dict[str, bool] = {}
-    with reading(path, "annotations"), path.open("r", encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-                case_id = obj["case_id"]
-                positive = obj["positive"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                raise FormatError(f"malformed annotation: {exc}", path=path, line=lineno) from exc
-            if not isinstance(case_id, str) or not isinstance(positive, bool):
-                raise FormatError("annotation fields must be a string and a boolean",
-                                  path=path, line=lineno)
-            if case_id in out:
-                raise DataError(f"{path}:{lineno}: duplicate annotation for {case_id!r}")
-            out[case_id] = positive
+    for lineno, obj in read_records(path, "annotations"):
+        positive = obj.get("positive")
+        if not isinstance(positive, bool):
+            raise FormatError("'positive' must be a boolean", path=path, line=lineno)
+        out[obj["case_id"]] = positive
     return out
 
 
 def write_annotations(annotations: dict[str, bool], path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for case_id, positive in annotations.items():
-            handle.write(json.dumps({"case_id": case_id, "positive": positive}) + "\n")
+    write_records(({"case_id": case_id, "positive": positive}
+                   for case_id, positive in annotations.items()), path)

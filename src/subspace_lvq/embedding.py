@@ -66,6 +66,9 @@ class EmbeddingTable(Mapping):
     rows: dict[str, int] = field(repr=False)
     matrix: np.ndarray = field(repr=False)
 
+    def __post_init__(self):
+        self.matrix.flags.writeable = False
+
     @classmethod
     def from_vectors(cls, dim: int, vectors: Mapping[str, np.ndarray]) -> EmbeddingTable:
         """Stack a word -> vector mapping, in its order, into one table."""

@@ -9,13 +9,11 @@ so it is invariant to word order and to re-parameterizations of the bases.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .corpus import CaseRecord, prepare_document, write_csv
+from .corpus import CaseRecord, prepare_document, write_csv, write_records
 from .embedding import EmbeddingTable, WordMatrix
 from .errors import DataError
 from .model import ModelState, _positive_probability, check_positive_label, classify
@@ -97,8 +95,8 @@ def explanation_report(
     """
     if k < 1:
         raise DataError(f"top-k must be positive, got {k}")
-    _, matrix, sub = prepare_document(case.case_id, case.text, table, stoplist,
-                                      model.subspace_dim)
+    matrix, sub = prepare_document(case.case_id, case.text, table, stoplist,
+                                   model.subspace_dim)
     predicted, dists = classify(sub, model)
     prob = None
     if len(model.class_labels) == 2:
@@ -118,16 +116,14 @@ def explanation_report(
 
 def write_reports_jsonl(reports: list[ExplanationReport], path) -> None:
     """One structured record per document."""
-    with Path(path).open("w", encoding="utf-8") as handle:
-        for rep in reports:
-            handle.write(json.dumps({
-                "doc_id": rep.doc_id,
-                "predicted_label": rep.predicted_label,
-                "runner_up_label": rep.runner_up_label,
-                "score": rep.score,
-                "top_k": rep.top_k,
-                "impacts": [[wi.word, wi.impact, wi.occurrences] for wi in rep.impacts],
-            }) + "\n")
+    write_records(({
+        "doc_id": rep.doc_id,
+        "predicted_label": rep.predicted_label,
+        "runner_up_label": rep.runner_up_label,
+        "score": rep.score,
+        "top_k": rep.top_k,
+        "impacts": [[wi.word, wi.impact, wi.occurrences] for wi in rep.impacts],
+    } for rep in reports), path)
 
 
 def write_reports_csv(reports: list[ExplanationReport], path) -> None:

@@ -84,13 +84,14 @@ class TrainConfig:
             raise DataError("prototypes_per_class must be positive")
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, kw_only=True, eq=False)
 class ModelState:
     """A trained classifier: its prototype stack and labels, relevances, and metadata.
 
     ``prototypes`` is a ``(P, D, d)`` stack of orthonormal bases, ``prototype_labels``
     the class of each; the dimensions and class labels are read from the two.
-    classify/score/evaluate only read it, so concurrent use needs no coordination.
+    Construction makes ``prototypes`` and ``relevances`` read-only, so concurrent
+    classify/score/evaluate need no coordination; a model compares and hashes by identity.
     ``training_log`` rows are (epoch, mean cost, training accuracy), with
     epoch 0 describing the freshly initialized model.
     """
@@ -108,6 +109,8 @@ class ModelState:
                 or self.relevances.shape != (self.subspace_dim,)):
             raise DimensionError(f"{len(self.prototype_labels)} labels and {self.relevances.shape} "
                                  f"relevances do not fit a {self.prototypes.shape} prototype stack")
+        self.prototypes.flags.writeable = False
+        self.relevances.flags.writeable = False
 
     @property
     def embedding_dim(self) -> int:

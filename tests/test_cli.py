@@ -239,8 +239,8 @@ class TestScoringFlow:
         records = {rec.case_id: rec for rec in ingest(run / "test.jsonl")}
         assert [row[0] for row in rows] == list(records)
         for case_id, predicted, *dists in rows:
-            _, _, sub = prepare_document(case_id, records[case_id].text, table, stoplist,
-                                         model.subspace_dim)
+            _, sub = prepare_document(case_id, records[case_id].text, table, stoplist,
+                                      model.subspace_dim)
             label, expected = classify(sub, model)
             assert predicted == label
             assert dists == [format(v, ".17g") for v in expected]

@@ -375,8 +375,8 @@ class TestBatchScore(object):
         assert not skipped
         by_id = {s.case_id: s.score for s in out}
         for rec in records:
-            _, _, sub = prepare_document(rec.case_id, rec.text, trained.corpus.table,
-                                         trained.stoplist, trained.model.subspace_dim)
+            _, sub = prepare_document(rec.case_id, rec.text, trained.corpus.table,
+                                      trained.stoplist, trained.model.subspace_dim)
             assert by_id[rec.case_id] == score(sub, trained.model, "topic_a")
 
     def test_positive_documents_score_above_half(self, trained):
@@ -534,19 +534,43 @@ class TestScoredFiles:
         with pytest.raises(FormatError):
             read_annotations(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "record is not an object"),
+        ("5", "record is not an object"),
+        ('{"case_id": "", "positive": true}', "missing or invalid 'case_id'"),
+        ('{"case_id": "b"}', "'positive' must be a boolean"),
+    ], ids=["array", "number", "empty-case-id", "no-positive"])
+    def test_annotation_line_breaking_a_record_rule_names_its_line(self, tmp_path, line,
+                                                                     message):
+        path = tmp_path / "ann.jsonl"
+        path.write_text('{"case_id": "a", "positive": true}\n' + line + "\n")
+        with pytest.raises(FormatError, match=rf"ann.jsonl:2: {message}"):
+            read_annotations(path)
+
+    @pytest.mark.parametrize("write, read, value", [
+        (write_corpus, ingest, [CaseRecord("expulsión", "Wohnung geräumt", "Räumung", ["art8"])]),
+        (write_annotations, read_annotations, {"expulsión": True, "Wohnung": False}),
+    ], ids=["corpus", "annotations"])
+    def test_non_ascii_text_is_written_raw_and_read_back(self, tmp_path, write, read, value):
+        path = tmp_path / "records.jsonl"
+        write(value, path)
+        raw = path.read_bytes()
+        assert "expulsión".encode() in raw and b"\\u" not in raw
+        assert read(path) == value
+
     def test_repeated_annotation_rejected(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         write_annotations({"a": True, "b": False}, path)
         with path.open("a") as handle:
             handle.write('{"case_id": "a", "positive": false}\n')
-        with pytest.raises(DataError, match="duplicate annotation for 'a'"):
+        with pytest.raises(DataError, match="duplicate case id 'a'"):
             read_annotations(path)
 
     def test_repeated_annotation_names_its_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text('{"case_id": "a", "positive": true}\n\n'
                         '{"case_id": "a", "positive": false}\n')
-        with pytest.raises(DataError, match="ann.jsonl:3: duplicate annotation for 'a'"):
+        with pytest.raises(DataError, match="ann.jsonl:3: duplicate case id 'a'"):
             read_annotations(path)
 
 

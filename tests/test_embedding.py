@@ -37,6 +37,14 @@ class TestLoadEmbeddings:
         assert len(table) == 2
         np.testing.assert_array_equal(table.get("a"), [1.0, 0.0])
 
+    def test_loaded_vectors_are_read_only(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.0\nb 0.0 1.0\n")
+        for table in (load_embeddings(path), load_embeddings(path)):  # parse, then cache hit
+            with pytest.raises(ValueError, match="read-only"):
+                table["a"][0] = 9.0
+            np.testing.assert_array_equal(table["a"], [1.0, 0.0])
+
     def test_from_no_vectors(self):
         table = EmbeddingTable.from_vectors(3, {})
         assert table.dim == 3

@@ -1,11 +1,14 @@
 """Word-impact attributions and explanation reports."""
 
+import json
+
 import numpy as np
 import pytest
 
 from subspace_lvq.embedding import EmbeddingTable, WordMatrix
 from subspace_lvq.errors import DataError
-from subspace_lvq.explain import explanation_report, word_impacts
+from subspace_lvq.explain import (ExplanationReport, WordImpact, explanation_report,
+                                  word_impacts, write_reports_jsonl)
 from subspace_lvq.geometry import qr_retract
 from subspace_lvq.model import ModelState
 from subspace_lvq.subspace import compute_subspace
@@ -210,3 +213,17 @@ class TestExplanationReport:
             hits.append(sum(1 for wi in positive
                             if wi.word in planted[report.predicted_label]))
         assert np.mean(hits) >= 8.0
+
+
+def test_report_with_non_ascii_words_is_written_raw(tmp_path):
+    report = ExplanationReport(doc_id="expulsión", predicted_label="pos", runner_up_label="neg",
+                               score=None, top_k=2,
+                               impacts=[WordImpact("Wohnung", 0.25, 2),
+                                        WordImpact("expulsión", -0.125, 1)])
+    path = tmp_path / "explanations.jsonl"
+    write_reports_jsonl([report], path)
+    raw = path.read_bytes()
+    assert "expulsión".encode() in raw and b"\\u" not in raw
+    assert json.loads(raw.decode("utf-8")) == {
+        "doc_id": "expulsión", "predicted_label": "pos", "runner_up_label": "neg",
+        "score": None, "top_k": 2, "impacts": [["Wohnung", 0.25, 2], ["expulsión", -0.125, 1]]}

@@ -68,6 +68,23 @@ class TestModelRoundTrip:
             doc = Subspace(doc_id=f"d{i}", basis=qr_retract(rng.standard_normal((12, 3))))
             assert score(doc, loaded, "pos") == score(doc, state, "pos")
 
+    def test_loaded_arrays_are_read_only(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(build_state(np.random.default_rng(3)), path)
+        loaded = load_model(path)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.prototypes[0, 0, 0] = 5.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.relevances[0] = 1.0
+
+    def test_models_compare_and_hash_by_identity(self, tmp_path):
+        path = tmp_path / "model.bin"
+        save_model(build_state(np.random.default_rng(4)), path)
+        first = load_model(path)
+        assert first == first
+        assert first != load_model(path)
+        assert hash(first) == hash(first)
+
     def test_save_is_deterministic(self, tmp_path):
         state = build_state(np.random.default_rng(2))
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
