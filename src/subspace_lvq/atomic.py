@@ -1,27 +1,16 @@
-"""Atomic file replacement and streaming file hashes.
+"""Atomic file replacement, for the model container and the embedding cache.
 
-Atomic writes serve the model container and the embedding cache, and the
-streaming hash gives a model file's checksum.  Imports nothing from the
-package, so any module can use it without an import cycle.
+Imports nothing from the package, so any module can use it without an import cycle.
 """
 
 from __future__ import annotations
 
 import contextlib
-import hashlib
 import os
 import uuid
 from pathlib import Path
 
-import numpy as np
-
 _FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
-# The hashing buffer.  Only model checksums (model_io.model_checksum) hash
-# files now: an embedding-cache hit compares the text with its copy in the
-# cache instead.  The size was chosen for a 57 MB embedding text, which
-# hashed as fast with it as with a 1 MiB buffer at lower peak RSS; a model
-# file holds only its prototypes (120 KB each at D=300, d=50).
-_HASH_CHUNK = 1 << 18
 
 
 @contextlib.contextmanager
@@ -47,15 +36,3 @@ def atomic_write(path):
         with contextlib.suppress(OSError):
             tmp.unlink()
         raise
-
-
-def sha256_file(path) -> str:
-    """Hex SHA-256 of the file at ``path``, read through one reused buffer."""
-    digest = hashlib.sha256()
-    # Unlike bytearray, np.empty leaves the buffer unzeroed, so a small file
-    # touches only the pages it fills.
-    buffer = np.empty(_HASH_CHUNK, dtype=np.uint8)
-    with Path(path).open("rb", buffering=0) as handle:
-        while count := handle.readinto(buffer):
-            digest.update(buffer[:count])
-    return digest.hexdigest()

@@ -326,7 +326,8 @@ def cmd_train(run: Run) -> int:
         run.write("test.jsonl", write_corpus, test_records)
         log.info("split: %d train / %d test", len(train_records), len(test_records))
 
-    examples, _ = corpus_to_subspaces(train_records, table, stoplist, config.subspace_dim)
+    examples, skipped = corpus_to_subspaces(train_records, table, stoplist, config.subspace_dim)
+    run.set(skipped=len(skipped))
     state = train(examples, config)
 
     model_path = run.write("model.bin", save_model, state)
@@ -339,8 +340,9 @@ def cmd_train(run: Run) -> int:
     print(f"train_accuracy {state.training_log[-1][2]!r}")
 
     if test_records is not None:
-        test_examples, _ = corpus_to_subspaces(
+        test_examples, test_skipped = corpus_to_subspaces(
             test_records, table, stoplist, config.subspace_dim)
+        run.set(test_skipped=len(test_skipped))
         report = evaluate(state, test_examples)
         print(f"test_accuracy {report.accuracy!r}")
     return 0

@@ -20,7 +20,7 @@ import numpy as np
 
 from .embedding import EmbeddingTable, WordMatrix, embed, preprocess
 from .errors import (DataError, DimensionError, EmptyDocumentError, FormatError, UsageError,
-                     map_records, reading)
+                     map_records, reading, strict_json)
 from .model import ModelState, _positive_probability, check_positive_label, classify
 from .subspace import LabeledSubspace, Subspace, compute_subspace
 
@@ -63,9 +63,9 @@ class CalibrationReport:
 def read_records(path, what: str):
     """Yield ``(line number, object)`` for each record of a JSON-lines file.
 
-    Blank lines are skipped.  Every other line must be a JSON object with a
-    non-empty string ``case_id`` that no earlier line holds; a line that is
-    not raises :class:`FormatError` (a repeated id :class:`DataError`)
+    Blank lines are skipped.  Every other line must be a :func:`strict_json`
+    object with a non-empty string ``case_id`` that no earlier line holds; a
+    line that is not raises :class:`FormatError` (a repeated id :class:`DataError`)
     naming ``path`` and the line.  ``what`` names the file in a read error.
     """
     path = Path(path)
@@ -75,7 +75,7 @@ def read_records(path, what: str):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                obj = strict_json(line, path, lineno)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"malformed record: {exc}", path=path, line=lineno) from exc
             if not isinstance(obj, dict):

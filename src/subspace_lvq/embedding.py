@@ -187,61 +187,78 @@ def load_embeddings(path, expected_dim: int | None = None) -> EmbeddingTable:
 
 
 def _read_hit(path: Path, cache: Path):
-    """:func:`_read_cache`'s result if the text equals the cache's copy of it, else None.
+    """(word -> row, matrix, duplicates, the text's SHA-256 as ASCII hex) from ``cache``, or None.
 
-    The comparison and the read each open the cache, so both must see the
-    same digest in its header.  The returned digest is then the SHA-256 of
-    the text, as the parse that wrote the cache computed it, and no hit
-    hashes the text.
-    """
-    # A worker thread on every load raised the median load time of an
-    # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
-    # stay sequential.
-    if path.stat().st_size <= _CHUNK:
-        digest = _same_text(path, cache)
-        cached = _read_cache(cache)
-    else:
-        # Imported only here: the module adds ~0.35 MiB of peak RSS,
-        # which a process that loads only small tables need not pay.
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=1) as pool:
-            comparing = pool.submit(_same_text, path, cache)
-            cached = _read_cache(cache)
-            digest = comparing.result()
-    if cached is not None and cached[3] != digest:
-        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
-        return None
-    return cached
-
-
-def _same_text(path: Path, cache: Path) -> bytes | None:
-    """The digest in ``cache``'s header if ``path`` holds exactly the cache's text copy, else None.
-
-    The text must end after the header's text byte count, and every byte
-    must equal the copy's.  A text that cannot be opened raises; any other
-    failure, such as an unreadable cache or a short header, gives None,
-    and :func:`_read_cache` reports the cache.
+    One open of the cache reads and checks its header: the magic, the
+    version, D > 0 and sizes that account for every byte.  The text is
+    compared with the copy (:func:`_same_text`), and the words and matrix
+    are read from the same handle (:func:`_read_table`).  The digest is the
+    parse's, so no hit hashes the text.  A text that cannot be opened
+    raises, and a cache that fails a check is logged.
     """
     with path.open("rb", buffering=0) as text:
         try:
-            with cache.open("rb", buffering=0) as copy:
-                header = _CACHE_HEADER.unpack(copy.read(_CACHE_HEADER.size))
-                digest, left = header[2], header[5]
-                # Two reused bytearrays compared with ``==`` run at memcmp
-                # speed; comparing memoryview slices, element by element,
-                # was slower than hashing the text.
-                mine, theirs = bytearray(min(left, _TEXT_CHUNK)), bytearray(min(left, _TEXT_CHUNK))
-                while left:
-                    if left < len(mine):   # the last, shorter read: shrink in place
-                        del mine[left:], theirs[left:]
-                    if not (text.readinto(mine) == copy.readinto(theirs) == len(mine)
-                            and mine == theirs):
-                        return None
-                    left -= len(mine)
-                return None if text.read(1) else digest
-        except Exception:  # noqa: BLE001 - a cache that cannot be compared is rebuilt
+            with cache.open("rb") as handle:
+                # A short header raises struct.error, which is reported below.
+                header = _CACHE_HEADER.unpack(handle.read(_CACHE_HEADER.size))
+                magic, version, digest, duplicates, _, text_bytes, word_bytes, count, dim = header
+                opened = os.fstat(handle.fileno())
+                if not (magic == _CACHE_MAGIC and version == _CACHE_VERSION and dim > 0
+                        and _CACHE_HEADER.size + text_bytes + word_bytes + 8 * count * dim
+                        == opened.st_size):
+                    table = None
+                # A worker thread on every load raised the median load time of an
+                # 82 KB table from 0.56 to 0.93 ms (BENCH_7.json), so small files
+                # stay sequential.
+                elif os.fstat(text.fileno()).st_size <= _CHUNK:
+                    table = (_same_text(text, cache, text_bytes, opened)
+                             and _read_table(handle, header))
+                else:
+                    # Imported only here: the module adds ~0.35 MiB of peak RSS,
+                    # which a process that loads only small tables need not pay.
+                    from concurrent.futures import ThreadPoolExecutor
+
+                    with ThreadPoolExecutor(max_workers=1) as pool:
+                        comparing = pool.submit(_same_text, text, cache, text_bytes, opened)
+                        table = _read_table(handle, header)
+                        table = comparing.result() and table
+        except FileNotFoundError:   # removed since the caller saw it
             return None
+        except Exception as exc:  # noqa: BLE001 - an unreadable cache is rebuilt, never fatal
+            log.info("%s: unreadable embedding cache, rebuilding: %r", cache, exc)
+            return None
+    if table:
+        return *table, duplicates, digest
+    log.info("%s: stale or damaged embedding cache, rebuilding", cache)
+    return None
+
+
+def _same_text(text, cache: Path, left: int, opened: os.stat_result) -> bool:
+    """Whether the open ``text`` is exactly the ``left`` bytes that follow ``cache``'s header.
+
+    The cache must be the file whose ``os.fstat`` the caller took, ``opened``:
+    an inode cannot be reused while the caller holds it open, so a cache
+    replaced in between fails.  Any failure gives False.
+    """
+    try:
+        with cache.open("rb", buffering=0) as copy:
+            if not os.path.samestat(os.fstat(copy.fileno()), opened):
+                return False
+            copy.seek(_CACHE_HEADER.size)
+            # Two reused bytearrays compared with ``==`` run at memcmp
+            # speed; comparing memoryview slices, element by element,
+            # was slower than hashing the text.
+            mine, theirs = bytearray(min(left, _TEXT_CHUNK)), bytearray(min(left, _TEXT_CHUNK))
+            while left:
+                if left < len(mine):   # the last, shorter read: shrink in place
+                    del mine[left:], theirs[left:]
+                if not (text.readinto(mine) == copy.readinto(theirs) == len(mine)
+                        and mine == theirs):
+                    return False
+                left -= len(mine)
+            return not text.read(1)
+    except Exception:  # noqa: BLE001 - a cache that cannot be compared is rebuilt
+        return False
 
 
 class _HashingReader(io.RawIOBase):
@@ -333,41 +350,13 @@ def _checksum(duplicates: int, *parts) -> int:
     return crc
 
 
-def _read_cache(cache: Path):
-    """(word -> row, matrix, duplicates, the text's SHA-256 as ASCII hex) from a valid cache.
+def _read_table(handle, header):
+    """(word -> row, matrix) from an open cache past its ``header``, or None if a check fails.
 
-    Returns None, and the caller parses the text, when the cache is missing,
-    was written by another cache version, or fails any check.  The caller
-    compares the text with the cache's copy of it (:func:`_same_text`).
+    The matrix is read slice by slice into one ``(V, D)`` array, each slice
+    checksummed and tested for finite values while it is in cache.
     """
-    try:
-        with cache.open("rb") as handle:
-            cached = _read_cache_records(handle)
-    except FileNotFoundError:
-        return None
-    except Exception as exc:  # noqa: BLE001 - an unreadable cache is rebuilt, never fatal
-        log.info("%s: unreadable embedding cache, rebuilding: %r", cache, exc)
-        return None
-    if cached is None:
-        log.info("%s: stale or damaged embedding cache, rebuilding", cache)
-    return cached
-
-
-def _read_cache_records(handle):
-    """:func:`_read_cache`'s result from an open cache, or None if a check fails.
-
-    The header's sizes must account for every byte of the file.  The text
-    copy is skipped.  The matrix is then read into one ``(V, D)`` array
-    slice by slice, each slice checksummed and tested for finite values
-    while it is in cache.
-    """
-    # A short header raises struct.error, which the caller reports.
-    magic, version, digest, duplicates, checksum, text_bytes, word_bytes, count, dim = \
-        _CACHE_HEADER.unpack(handle.read(_CACHE_HEADER.size))
-    if not (magic == _CACHE_MAGIC and version == _CACHE_VERSION and dim > 0
-            and _CACHE_HEADER.size + text_bytes + word_bytes + 8 * count * dim
-            == os.fstat(handle.fileno()).st_size):
-        return None
+    _, _, digest, duplicates, checksum, text_bytes, word_bytes, count, dim = header
     handle.seek(text_bytes, os.SEEK_CUR)
     blob = handle.read(word_bytes)
     words = str(blob, "utf-8").split("\n")
@@ -386,9 +375,7 @@ def _read_cache_records(handle):
                 or not np.isfinite(piece, out=finite[:piece.size]).all()):
             return None
         crc = zlib.crc32(piece, crc)
-    if crc != checksum:
-        return None
-    return rows, matrix, duplicates, digest
+    return (rows, matrix) if crc == checksum else None
 
 
 def _write_cache(path: Path, cache: Path, digest: str, rows: dict[str, int],

@@ -1,11 +1,12 @@
-"""Exception types shared across the toolkit, the input-file read guard and
-the per-record skip loop.
+"""Exception types shared across the toolkit, the input-file read guard, the
+strict JSON decode and the per-record skip loop.
 
 Every error raised by this package derives from :class:`ToolkitError` and
 carries a short machine-readable ``category`` used by the CLI for exit
 reporting.
 """
 
+import json
 import logging
 from contextlib import contextmanager
 
@@ -49,6 +50,32 @@ def reading(path, what: str):
         raise FormatError(f"cannot read {what}: {exc}", path=path) from exc
     except UnicodeDecodeError as exc:
         raise FormatError(f"not UTF-8 text: {exc}", path=path) from exc
+
+
+def strict_json(text: str, path, line=None):
+    """``json.loads(text)``, with a repeated key or a lone surrogate a :class:`FormatError`.
+
+    Both errors name ``path`` and ``line``.  A lone surrogate (U+D800–U+DFFF)
+    has no UTF-8 form, and decoded UTF-8 ``text`` holds none, so only a
+    ``\\ud800``-style escape can give one; an escaped pair is one character.
+    Text that is not JSON raises ``json.JSONDecodeError``.
+    """
+    def pairs(items):
+        obj = {}
+        for key, value in items:
+            if key in obj:
+                raise FormatError(f"repeated key {key!r}", path=path, line=line)
+            obj[key] = value
+        return obj
+
+    value = json.loads(text, object_pairs_hook=pairs)
+    if "\\u" in text:
+        try:   # what a UTF-8 writer of the value would fail on
+            json.dumps(value, ensure_ascii=False).encode("utf-8")
+        except UnicodeEncodeError as exc:
+            raise FormatError(f"string holds a lone surrogate, U+{ord(exc.object[exc.start]):04X}",
+                              path=path, line=line) from None
+    return value
 
 
 class DimensionError(ToolkitError):

@@ -11,6 +11,7 @@ model behind.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import struct
@@ -18,8 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .atomic import atomic_write, sha256_file
-from .errors import FormatError, reading
+from .atomic import atomic_write
+from .errors import FormatError, reading, strict_json
 from .geometry import DISTANCE_KINDS, ORTHONORMAL_TOL, on_simplex, orthonormality_residual
 from .model import ModelState
 
@@ -92,7 +93,7 @@ def load_model(path) -> ModelState:
             raise FormatError(f"unsupported model format version {version}", path=path)
         (header_len,) = struct.unpack_from("<Q", blob, offset)
         offset += 8
-        header = json.loads(blob[offset: offset + header_len].decode("utf-8"))
+        header = strict_json(blob[offset: offset + header_len].decode("utf-8"), path)
         offset += header_len
 
         labels, shapes = header["prototype_labels"], header["prototype_shapes"]
@@ -163,4 +164,4 @@ def load_model(path) -> ModelState:
 
 def model_checksum(path) -> str:
     """SHA-256 of a model file, for run manifests."""
-    return sha256_file(path)
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()

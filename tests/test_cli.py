@@ -10,7 +10,7 @@ import pytest
 
 from subspace_lvq import cli
 from subspace_lvq.cli import main, parse_bands, read_config_file
-from subspace_lvq.corpus import ingest, prepare_document, read_scored
+from subspace_lvq.corpus import ingest, prepare_document, read_scored, split
 from subspace_lvq.embedding import load_embeddings, load_stopwords
 from subspace_lvq.model import classify
 from subspace_lvq.model_io import load_model
@@ -49,6 +49,27 @@ class TestTrainFlow:
         assert len(manifest["model_checksum"]) == 64
         assert manifest["config"]["seed"] == 3
         assert "started_at" in manifest and "finished_at" in manifest
+
+    def test_manifest_counts_skipped_training_and_test_records(self, workspace, tmp_path):
+        data = workspace["data"]
+        lines = (data / "corpus.jsonl").read_text().splitlines()
+        labels = sorted({json.loads(line)["label"] for line in lines})
+        planted = [json.dumps({"case_id": f"oov{i}", "text": "zzqq xxyy", "label": labels[i % 2]})
+                   for i in range(10)]   # every word out of the table's vocabulary
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines + planted) + "\n")
+        expected = tuple(sum(rec.case_id.startswith("oov") for rec in part)
+                         for part in split(ingest(corpus), 0.8, 4))
+        assert min(expected) >= 1 and sum(expected) == 10
+        manifests = []
+        for name, extra in (("split", ["--train-fraction", "0.8"]), ("all", [])):
+            out = tmp_path / name
+            assert main(["train", "--embeddings", str(data / "embeddings.txt"),
+                         "--corpus", str(corpus), "--out", str(out),
+                         "--d", "6", "--epochs", "1", "--seed", "4"] + extra) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+        assert (manifests[0]["skipped"], manifests[0]["test_skipped"]) == expected
+        assert manifests[1]["skipped"] == 10 and "test_skipped" not in manifests[1]
 
     def test_training_log_has_epoch_zero(self, workspace):
         with (workspace["run"] / "training_log.csv").open() as handle:

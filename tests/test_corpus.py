@@ -82,6 +82,26 @@ class TestIngest:
         with pytest.raises(FormatError, match=rf"corpus.jsonl:2: {message}"):
             ingest(path)
 
+    @pytest.mark.parametrize("line, message", [
+        ('{"case_id": "a", "text": "first", "case_id": "b"}', "repeated key 'case_id'"),
+        ('{"case_id": "c", "text": "x", "tags": [{"k": 1, "k": 2}]}', "repeated key 'k'"),
+        ('{"case_id": "x\\ud800", "text": "hello"}', r"string holds a lone surrogate, U\+D800"),
+        ('{"case_id": "c", "text": "x", "tags": ["t\\udfff"]}',
+         r"string holds a lone surrogate, U\+DFFF"),
+        ('{"case_id": "c", "text": "x", "\\udc00": 1}', r"string holds a lone surrogate, U\+DC00"),
+    ], ids=["repeated-case-id", "repeated-nested-key", "surrogate-id", "surrogate-tag",
+            "surrogate-key"])
+    def test_line_that_json_would_half_accept_rejected(self, tmp_path, line, message):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text(json.dumps({"case_id": "a", "text": "x"}) + "\n" + line + "\n")
+        with pytest.raises(FormatError, match=rf"corpus.jsonl:2: {message}"):
+            ingest(path)
+
+    def test_escaped_surrogate_pair_is_one_character(self, tmp_path):
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"case_id": "a\\ud83d\\ude00", "text": "x"}\n')
+        assert [rec.case_id for rec in ingest(path)] == ["a\U0001F600"]
+
     def test_empty_case_file_rejected(self, tmp_path):
         (tmp_path / "c1.txt").write_text("text of c1")
         (tmp_path / "c2.txt").write_text(" \n")

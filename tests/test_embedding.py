@@ -1,10 +1,12 @@
 """Embedding file handling, the parsed-table cache, tokenization and document embedding."""
 
 import errno
+import hashlib
 import struct
 import tempfile
 import threading
 import tracemalloc
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -295,6 +297,28 @@ class TestEmbeddingCache:
         monkeypatch.setattr(embedding, "_parse_text", fail)
         assert_same_table(parsed, load_embeddings(path))
 
+    def test_version_3_cache_built_by_hand_is_a_hit(self, tmp_path, monkeypatch):
+        """README's version-3 layout, built here without the package's writer, is read as is."""
+        text = b"a 1.0 0.5\nb 0.0 1.0\na 2.0 3.0\n"
+        path = tmp_path / "emb.txt"
+        path.write_bytes(text)
+        digest, words = hashlib.sha256(text).hexdigest().encode("ascii"), b"a\nb"
+        matrix = np.array([[2.0, 3.0], [0.0, 1.0]], dtype="<f8").tobytes()
+        crc = (1).to_bytes(8, "little")   # the duplicate count, then the digest, words, matrix
+        crc = zlib.crc32(matrix, zlib.crc32(words, zlib.crc32(digest, zlib.crc32(crc))))
+        cache = (struct.pack("<8sI64sQIQQQQ", b"SLVQEMB\0", 3, digest, 1, crc, len(text),
+                             len(words), 2, 2) + text + words + matrix)
+        cache_of(path).write_bytes(cache)
+
+        def fail(path):
+            raise AssertionError(f"{path} was parsed although its cache is valid")
+
+        monkeypatch.setattr(embedding, "_parse_text", fail)
+        table = load_embeddings(path)
+        assert list(table) == ["a", "b"]
+        assert table["a"].tolist() == [2.0, 3.0] and table["b"].tolist() == [0.0, 1.0]
+        assert cache_of(path).read_bytes() == cache
+
     def test_edited_file_rebuilds_cache(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
@@ -313,7 +337,7 @@ class TestEmbeddingCache:
         "text_copy_differs", "text_copy_short", "text_longer_than_copy",
         "header_text_size_disagrees",
     ])
-    def test_damaged_cache_is_rebuilt(self, tmp_path, caplog, damage):
+    def test_damaged_cache_is_rebuilt(self, tmp_path, monkeypatch, caplog, damage):
         path = tmp_path / "emb.txt"
         path.write_text("alpha 0.25 -1.5 3.0\nbeta 1e-300 2.0 -0.0\ngamma 7.0 8.0 9.0\n")
         reference = load_embeddings(path)
@@ -380,7 +404,9 @@ class TestEmbeddingCache:
             header["text_bytes"] += 1
             write_cache_records(cache, header, text, blob, matrix)
         if damage in ("text_copy_differs", "text_longer_than_copy"):
-            assert embedding._read_cache(cache) is not None
+            with monkeypatch.context() as patch:   # every other check passes
+                patch.setattr(embedding, "_same_text", lambda *args: True)
+                assert embedding._read_hit(path, cache) is not None
         caplog.clear()
         with caplog.at_level("INFO", logger=embedding.__name__):
             assert_same_table(reference, load_embeddings(path))
@@ -398,15 +424,15 @@ class TestEmbeddingCache:
         calls = []
         same_text = embedding._same_text
 
-        def spy(path, cache):
-            calls.append(path)
-            return same_text(path, cache)
+        def spy(text, cache, *args):
+            calls.append((text.name, cache))
+            return same_text(text, cache, *args)
 
         monkeypatch.setattr(embedding, "_same_text", spy)
         parsed = load_embeddings(path)
         assert calls == [] and cache_of(path).exists()
         assert_same_table(parsed, load_embeddings(path))
-        assert calls == [path]
+        assert calls == [(str(path), cache_of(path))]
 
     def test_text_edited_after_the_parse_leaves_no_cache(self, tmp_path, monkeypatch, caplog):
         """A cache never pairs a copy of the new text with the table parsed from the old."""
@@ -429,21 +455,48 @@ class TestEmbeddingCache:
         assert load_embeddings(path).get("b")[1] == 2.0
         assert load_embeddings(path).get("b")[1] == 2.0   # a hit on the new text
 
-    def test_cache_replaced_between_compare_and_read_is_not_used(self, tmp_path, monkeypatch):
+    def test_cache_replaced_between_compare_and_read_is_not_used(self, tmp_path, monkeypatch,
+                                                                  caplog):
         """The text's comparison and the matrix's read must have opened the same cache."""
         path, other = tmp_path / "emb.txt", tmp_path / "other.txt"
         path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
-        other.write_text("a 9.0 9.0\nb 9.0 9.0\n")
-        load_embeddings(path)
+        load_embeddings(path)   # the cache the read opens: a table of the old text
+        other.write_text("a 1.0 0.5\nb 0.0 2.0\n")   # the edit, at the same length
         load_embeddings(other)
-        read_cache = embedding._read_cache
+        path.write_bytes(other.read_bytes())
+        same_text = embedding._same_text
 
-        def replace_then_read(cache):
-            cache_of(other).replace(cache)   # a valid cache, but of another text
-            return read_cache(cache)
+        def replace_then_compare(*args):
+            cache_of(other).replace(cache_of(path))   # a valid cache whose copy is the new text
+            return same_text(*args)
 
-        monkeypatch.setattr(embedding, "_read_cache", replace_then_read)
-        assert load_embeddings(path).get("b")[1] == 1.0
+        monkeypatch.setattr(embedding, "_same_text", replace_then_compare)
+        with caplog.at_level("INFO", logger=embedding.__name__):
+            assert load_embeddings(path).get("b")[1] == 2.0
+        assert [rec.getMessage() for rec in caplog.records] == [
+            f"{cache_of(path)}: stale or damaged embedding cache, rebuilding"]
+        monkeypatch.setattr(embedding, "_same_text", same_text)
+        monkeypatch.setattr(embedding, "_parse_text", None)   # the rewritten cache is a hit
+        assert load_embeddings(path).get("b")[1] == 2.0
+
+    def test_cache_removed_after_the_existence_check_is_rebuilt(self, tmp_path, monkeypatch,
+                                                                 caplog):
+        path = tmp_path / "emb.txt"
+        path.write_text("a 1.0 0.5\nb 0.0 1.0\n")
+        good = load_embeddings(path)
+        read_hit = embedding._read_hit
+
+        def remove_then_read(path, cache):
+            cache.unlink()
+            return read_hit(path, cache)
+
+        monkeypatch.setattr(embedding, "_read_hit", remove_then_read)
+        with caplog.at_level("INFO", logger=embedding.__name__):
+            assert_same_table(good, load_embeddings(path))
+        assert caplog.records == []
+        monkeypatch.setattr(embedding, "_read_hit", read_hit)
+        monkeypatch.setattr(embedding, "_parse_text", None)   # the rewritten cache is a hit
+        assert_same_table(good, load_embeddings(path))
 
     def test_unwritable_directory_still_loads(self, tmp_path, monkeypatch, caplog):
         path = tmp_path / "emb.txt"
@@ -548,9 +601,9 @@ class TestEmbeddingCacheThreaded(TestEmbeddingCache):
         threads = []
         same_text = embedding._same_text
 
-        def spy(path, cache):
+        def spy(*args):
             threads.append(threading.current_thread())
-            return same_text(path, cache)
+            return same_text(*args)
 
         monkeypatch.setattr(embedding, "_same_text", spy)
         load_embeddings(path)

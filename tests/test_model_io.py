@@ -118,15 +118,23 @@ class TestModelRoundTrip:
         assert MAGIC == b"SUBSPACE-LVQ-MODEL\n"
 
 
-def edited_header(blob, edit):
-    """A container's bytes with its JSON header re-encoded after ``edit(header)``."""
+def edited_header_text(blob, edit):
+    """A container's bytes with its JSON header text replaced by ``edit(text)``."""
     offset = len(MAGIC) + 4
     (length,) = struct.unpack_from("<Q", blob, offset)
-    header = json.loads(blob[offset + 8: offset + 8 + length])
-    edit(header)
-    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    encoded = edit(blob[offset + 8: offset + 8 + length].decode("utf-8")).encode("utf-8")
     return (blob[:offset] + struct.pack("<Q", len(encoded)) + encoded
             + blob[offset + 8 + length:])
+
+
+def edited_header(blob, edit):
+    """A container's bytes with its JSON header re-encoded after ``edit(header)``."""
+    def reencode(text):
+        header = json.loads(text)
+        edit(header)
+        return json.dumps(header, sort_keys=True)
+
+    return edited_header_text(blob, reencode)
 
 
 def rewrite_header(path, edit):
@@ -189,6 +197,30 @@ class TestModelValidation:
         rewrite_header(path, edit)
         with pytest.raises(FormatError, match="corrupt model file"):
             load_model(path)
+
+    def test_repeated_header_key_rejected(self, tmp_path):
+        """Read by a plain JSON decoder, the header would load with the last value."""
+        path = self.saved(tmp_path)
+        path.write_bytes(edited_header_text(
+            path.read_bytes(), lambda text: text.replace("{", '{"distance_kind": "geodesic", ', 1)))
+        with pytest.raises(FormatError, match=r"model.bin: repeated key 'distance_kind'"):
+            load_model(path)
+
+    def test_label_with_a_lone_surrogate_rejected(self, tmp_path):
+        """Such a label loaded, and a command then failed when it wrote the label as UTF-8."""
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h.update(prototype_labels=["neg", "pos\ud800"],
+                                                class_labels=["neg", "pos\ud800"]))
+        assert b'"pos\\ud800"' in path.read_bytes()
+        with pytest.raises(FormatError, match=r"model.bin: string holds a lone surrogate, U\+D800"):
+            load_model(path)
+
+    def test_label_with_an_escaped_surrogate_pair_loads(self, tmp_path):
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h.update(prototype_labels=["neg", "pos\U0001F600"],
+                                                class_labels=["neg", "pos\U0001F600"]))
+        assert b'"pos\\ud83d\\ude00"' in path.read_bytes()
+        assert load_model(path).prototype_labels == ("neg", "pos\U0001F600")
 
     @pytest.mark.parametrize("position", [0, -1])   # a relevance, a prototype entry
     @pytest.mark.parametrize("value", [np.nan, np.inf])
