@@ -21,7 +21,7 @@ import numpy as np
 from .embedding import EmbeddingTable, WordMatrix, embed, preprocess
 from .errors import (DataError, DimensionError, EmptyDocumentError, FormatError, UsageError,
                      map_records, reading, strict_json)
-from .model import ModelState, _positive_probability, check_positive_label, classify
+from .model import ModelState, _decision, check_positive_label, classify
 from .subspace import LabeledSubspace, Subspace, compute_subspace
 
 
@@ -234,7 +234,7 @@ def batch_score(
         _, sub = prepare_document(rec.case_id, rec.text, table, stoplist, model.subspace_dim)
         predicted, dists = classify(sub, model)
         return ScoredCase(case_id=rec.case_id, predicted_label=predicted,
-                          score=_positive_probability(dists, model, positive_label))
+                          score=_decision(dists, model, positive_label)[2])
 
     return map_records(records, score_one)
 

@@ -317,6 +317,10 @@ def _parse_text(path: Path):
                 raise FormatError("expected a token and at least one float",
                                   path=path, line=lineno)
             try:
+                # float() also reads '1_0' and non-ASCII digits; the format allows neither.
+                tail = line[len(parts[0]):]
+                if "_" in tail or not tail.isascii():
+                    raise ValueError("a value holds '_' or a non-ASCII character")
                 values = [float(p) for p in parts[1:]]
             except ValueError as exc:
                 raise FormatError(f"malformed float: {exc}", path=path, line=lineno) from exc

@@ -16,7 +16,7 @@ import numpy as np
 from .corpus import CaseRecord, prepare_document, write_csv, write_records
 from .embedding import EmbeddingTable, WordMatrix
 from .errors import DataError
-from .model import ModelState, _positive_probability, check_positive_label, classify
+from .model import ModelState, _decision, check_positive_label, classify
 from .geometry import principal_system
 from .subspace import Subspace
 
@@ -38,14 +38,6 @@ class ExplanationReport:
     top_k: int
 
 
-def _alignment_energy(unit_words: np.ndarray, doc: Subspace, proto_stack, weights) -> np.ndarray:
-    """Per-word sum_i w_i (v_j . q_i)^2 over each stacked prototype's matched directions."""
-    system = principal_system(doc.basis, proto_stack)
-    m = system.cosines.shape[-1]
-    proj = unit_words.T @ (proto_stack @ system.right_vectors)  # (P, n_words, m)
-    return proj**2 @ weights[:m]
-
-
 def word_impacts(matrix: WordMatrix, doc: Subspace, model: ModelState) -> list[WordImpact]:
     """Signed impact of every distinct word on the document's classification.
 
@@ -53,25 +45,19 @@ def word_impacts(matrix: WordMatrix, doc: Subspace, model: ModelState) -> list[W
     not dominate by magnitude; repeated occurrences are aggregated (impacts
     summed, occurrences counted).
     """
-    _, dists = classify(doc, model)
-    return _impacts(matrix, doc, model, dists)[1]
+    predicted, dists = classify(doc, model)
+    return _impacts(matrix, doc, model, _decision(dists, model, predicted)[:2])
 
 
-def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.ndarray):
-    """Runner-up prototype index and :func:`word_impacts`, given ``classify``'s distances."""
-    labels = model.prototype_labels
-    winner_idx = int(np.argmin(dists))
-    competitor_idx = min(
-        (i for i, lab in enumerate(labels) if lab != labels[winner_idx]),
-        key=lambda i: dists[i],
-    )
-
+def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, pair) -> list[WordImpact]:
+    """:func:`word_impacts` given the ``(winner, runner-up)`` prototype indices."""
     norms = np.linalg.norm(matrix.columns, axis=0)
-    safe = np.where(norms > 0, norms, 1.0)
-    unit_words = matrix.columns / safe
-
-    support, oppose = _alignment_energy(
-        unit_words, doc, model.prototypes[[winner_idx, competitor_idx]], model.relevances)
+    unit_words = matrix.columns / np.where(norms > 0, norms, 1.0)
+    # Per word, sum_i w_i (v . q_i)^2 over each prototype's matched directions.
+    stack = model.prototypes[list(pair)]
+    system = principal_system(doc.basis, stack)
+    proj = unit_words.T @ (stack @ system.right_vectors)  # (2, n_words, m)
+    support, oppose = proj**2 @ model.relevances[:system.cosines.shape[-1]]
     per_occurrence = support - oppose
 
     totals: dict[str, float] = {}
@@ -79,9 +65,8 @@ def _impacts(matrix: WordMatrix, doc: Subspace, model: ModelState, dists: np.nda
     for token, value in zip(matrix.tokens, per_occurrence):
         totals[token] = totals.get(token, 0.0) + float(value)
         counts[token] = counts.get(token, 0) + 1
-    impacts = [WordImpact(word=w, impact=totals[w], occurrences=counts[w]) for w in totals]
-    impacts.sort(key=lambda wi: (-abs(wi.impact), wi.word))
-    return competitor_idx, impacts
+    return sorted((WordImpact(word=w, impact=totals[w], occurrences=counts[w]) for w in totals),
+                  key=lambda wi: (-abs(wi.impact), wi.word))
 
 
 def explanation_report(
@@ -98,18 +83,18 @@ def explanation_report(
     matrix, sub = prepare_document(case.case_id, case.text, table, stoplist,
                                    model.subspace_dim)
     predicted, dists = classify(sub, model)
-    prob = None
-    if len(model.class_labels) == 2:
-        scored_label = positive_label if positive_label is not None else predicted
-        check_positive_label(model, scored_label)
-        prob = _positive_probability(dists, model, scored_label)
-    runner_up, impacts = _impacts(matrix, sub, model, dists)
+    binary = len(model.class_labels) == 2
+    if binary and positive_label is not None:
+        check_positive_label(model, positive_label)
+    else:
+        positive_label = predicted
+    winner, runner_up, prob = _decision(dists, model, positive_label)
     return ExplanationReport(
         doc_id=case.case_id,
         predicted_label=predicted,
         runner_up_label=model.prototype_labels[runner_up],
-        score=prob,
-        impacts=impacts[:k],
+        score=prob if binary else None,
+        impacts=_impacts(matrix, sub, model, (winner, runner_up))[:k],
         top_k=k,
     )
 

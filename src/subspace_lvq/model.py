@@ -199,20 +199,23 @@ def score(doc: Subspace, model: ModelState, positive_label: str) -> float:
     """
     check_positive_label(model, positive_label)
     _, dists = classify(doc, model)
-    return _positive_probability(dists, model, positive_label)
+    return _decision(dists, model, positive_label)[2]
 
 
-def _positive_probability(dists: np.ndarray, model: ModelState, positive_label: str) -> float:
-    """:func:`score` from the prototype distances :func:`classify` returned.
+def _decision(dists: np.ndarray, model: ModelState, scored_label: str) -> tuple[int, int, float]:
+    """Winner and runner-up prototype indices, and the probability of ``scored_label``.
 
-    The positive probability is the training cost of labelling the document
-    negative, so it comes from the same :func:`_sample_terms`.
+    One :func:`_sample_terms` call, with ``scored_label`` as the wrong class, gives the
+    probability and the nearest scored and other-label prototypes; the nearer is the winner
+    (ties to the lowest index).  For the predicted label, or on a binary model, the other
+    is the nearest prototype of another class than the winner's.
     """
-    negative = [lab != positive_label for lab in model.prototype_labels]
-    terms = _sample_terms(dists, negative, model.sigmoid_slope)
+    terms = _sample_terms(dists, [lab != scored_label for lab in model.prototype_labels],
+                          model.sigmoid_slope)
     if terms is None:
         raise DegenerateSampleError("document is at zero distance to both classes")
-    return terms[2]
+    j, k, prob = terms
+    return (j, k, prob) if (dists[j], j) < (dists[k], k) else (k, j, prob)
 
 
 @dataclass

@@ -26,6 +26,10 @@ from .model import ModelState
 
 MAGIC = b"SUBSPACE-LVQ-MODEL\n"
 FORMAT_VERSION = 1
+# The header keys save_model writes; a header that holds any other is rejected.
+HEADER_KEYS = frozenset({
+    "embedding_dim", "subspace_dim", "sigmoid_slope", "distance_kind", "class_labels",
+    "prototype_labels", "prototype_shapes", "relevance_len", "hyperparams", "training_log"})
 
 _F64LE = np.dtype("<f8")
 
@@ -76,9 +80,9 @@ def load_model(path) -> ModelState:
     dimensions are positive, the sigmoid slope is finite and positive, every
     prototype is an orthonormal ``(embedding_dim, subspace_dim)`` basis, the
     relevances are ``subspace_dim`` finite values on the simplex, and
-    ``class_labels`` is the sorted set of at least two prototype labels.  Every
-    header value has its JSON type: no string or boolean passes for a number.
-    Any violation raises :class:`FormatError`.
+    ``class_labels`` is the sorted set of at least two prototype labels.  The header
+    holds exactly :data:`HEADER_KEYS`, each value of its JSON type: no string or
+    boolean passes for a number.  Any violation raises :class:`FormatError`.
     """
     path = Path(path)
     with reading(path, "model file"):
@@ -97,6 +101,8 @@ def load_model(path) -> ModelState:
         offset += header_len
 
         labels, shapes = header["prototype_labels"], header["prototype_shapes"]
+        if unknown := sorted(header.keys() - HEADER_KEYS):
+            raise FormatError(f"unknown header key {', '.join(map(repr, unknown))}", path=path)
         dim, d = _int(header["embedding_dim"]), _int(header["subspace_dim"])
         class_labels = header["class_labels"]
         slope, kind = _number(header["sigmoid_slope"]), header["distance_kind"]

@@ -102,6 +102,22 @@ class TestLoadEmbeddings:
         with pytest.raises(FormatError, match="malformed float"):
             load_embeddings(path)
 
+    # float() reads each of these values: as 10.0, 12.0 and 0.3.
+    @pytest.mark.parametrize("line", ["the 1_0 0.2 0.3", "the \u0661\u0662 0.2 0.3",
+                                      "the 0.1 0.2 \uff10.3"])
+    def test_float_text_outside_the_format_rejected(self, tmp_path, line):
+        path = tmp_path / "emb.txt"
+        path.write_text(f"a 0.1 0.2 0.3\n{line}\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"emb.txt:2: malformed float"):
+            load_embeddings(path)
+
+    def test_word_may_hold_underscore_and_non_ascii(self, tmp_path):
+        path = tmp_path / "emb.txt"
+        path.write_text("new_york 0.5 1e-3\nexpulsión -2 3.25\n", encoding="utf-8")
+        table = load_embeddings(path)
+        assert table["new_york"].tolist() == [0.5, 0.001]
+        assert table["expulsión"].tolist() == [-2.0, 3.25]
+
     def test_inconsistent_dimension(self, tmp_path):
         path = tmp_path / "emb.txt"
         path.write_text("a 1.0 2.0\nb 1.0\n")

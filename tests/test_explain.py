@@ -5,12 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from subspace_lvq.cli import main
+from subspace_lvq.corpus import batch_score
 from subspace_lvq.embedding import EmbeddingTable, WordMatrix
-from subspace_lvq.errors import DataError
+from subspace_lvq.errors import DataError, DegenerateSampleError
 from subspace_lvq.explain import (ExplanationReport, WordImpact, explanation_report,
                                   word_impacts, write_reports_jsonl)
 from subspace_lvq.geometry import qr_retract
-from subspace_lvq.model import ModelState
+from subspace_lvq.model import ModelState, classify
+from subspace_lvq.model_io import save_model
 from subspace_lvq.subspace import compute_subspace
 
 
@@ -213,6 +216,52 @@ class TestExplanationReport:
             hits.append(sum(1 for wi in positive
                             if wi.word in planted[report.predicted_label]))
         assert np.mean(hits) >= 8.0
+
+
+class TestDecision:
+    def test_report_score_equals_batch_score_bit_for_bit(self, trained):
+        model, table, records = trained.model, trained.corpus.table, trained.test_records
+        scored = {label: batch_score(records, model, table, trained.stoplist, label)[0]
+                  for label in model.class_labels}
+        for i, rec in enumerate(records):
+            report = explanation_report(rec, model, table, trained.stoplist, k=1)
+            assert report.score == scored[report.predicted_label][i].score
+            for label in model.class_labels:
+                report = explanation_report(rec, model, table, trained.stoplist, k=1,
+                                            positive_label=label)
+                assert report.score == scored[label][i].score
+
+    def degenerate_model(self):
+        """Three classes; the second relevance, the only one a rank-1 document misses, is 0.
+
+        A word along e1 is at distance 0 to the "a" and "b" prototypes, which both
+        hold e1, and at distance 1 to "c"; a word along e4 is at 0 to "c" only.
+        """
+        eye = np.eye(5)
+        return tiny_model([eye[:, [0, 1]], eye[:, [0, 2]], eye[:, [3, 4]]], ["a", "b", "c"],
+                          relevances=np.array([1.0, 0.0]))
+
+    def test_three_class_degenerate_document_raises(self):
+        model = self.degenerate_model()
+        matrix = WordMatrix(doc_id="d", columns=np.eye(5)[:, [0]], tokens=["alpha"])
+        doc = compute_subspace(matrix, d=2)
+        assert classify(doc, model)[1].tolist() == [0.0, 0.0, 1.0]
+        with pytest.raises(DegenerateSampleError):
+            word_impacts(matrix, doc, model)
+
+    def test_explain_skips_a_three_class_degenerate_document(self, tmp_path):
+        save_model(self.degenerate_model(), tmp_path / "model.bin")
+        (tmp_path / "embeddings.txt").write_text("alpha 1 0 0 0 0\ndelta 0 0 0 1 0\n")
+        (tmp_path / "corpus.jsonl").write_text(
+            '{"case_id": "degenerate", "text": "alpha"}\n{"case_id": "kept", "text": "delta"}\n')
+        assert main(["explain", "--model", str(tmp_path / "model.bin"),
+                     "--corpus", str(tmp_path / "corpus.jsonl"),
+                     "--embeddings", str(tmp_path / "embeddings.txt"),
+                     "--top-k", "1", "--out", str(tmp_path / "out")]) == 0
+        manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+        assert manifest["status"] == "complete" and manifest["skipped"] == 1
+        lines = (tmp_path / "out" / "explanations.jsonl").read_text().splitlines()
+        assert [json.loads(line)["doc_id"] for line in lines] == ["kept"]
 
 
 def test_report_with_non_ascii_words_is_written_raw(tmp_path):

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subspace_lvq import atomic
+from subspace_lvq import atomic, model_io
 from subspace_lvq.atomic import atomic_write
 from subspace_lvq.errors import FormatError
 from subspace_lvq.geometry import (
@@ -204,6 +204,21 @@ class TestModelValidation:
         path.write_bytes(edited_header_text(
             path.read_bytes(), lambda text: text.replace("{", '{"distance_kind": "geodesic", ', 1)))
         with pytest.raises(FormatError, match=r"model.bin: repeated key 'distance_kind'"):
+            load_model(path)
+
+    def test_header_holds_exactly_the_keys_the_loader_knows(self, tmp_path):
+        blob = self.saved(tmp_path).read_bytes()
+        (length,) = struct.unpack_from("<Q", blob, len(MAGIC) + 4)
+        start = len(MAGIC) + 12
+        written = json.loads(blob[start: start + length]).keys()
+        assert written == model_io.HEADER_KEYS == set(HEADER_KEYS)
+
+    def test_unknown_header_key_rejected(self, tmp_path):
+        """Such keys loaded and were ignored, so a newer header's fields went unseen."""
+        path = self.saved(tmp_path)
+        rewrite_header(path, lambda h: h.update(weighting="distinct", table_sha256="0" * 64))
+        with pytest.raises(FormatError,
+                           match=r"model.bin: unknown header key 'table_sha256', 'weighting'"):
             load_model(path)
 
     def test_label_with_a_lone_surrogate_rejected(self, tmp_path):

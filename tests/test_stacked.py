@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 import subspace_lvq
 from subspace_lvq.embedding import WordMatrix
 from subspace_lvq.errors import DegenerateSampleError
+from subspace_lvq.explain import explanation_report
 from subspace_lvq.geometry import (
     _GEODESIC_SCALE,
     CHORDAL,
@@ -36,8 +37,8 @@ from subspace_lvq.geometry import (
 from subspace_lvq.model import (
     ModelState,
     TrainConfig,
+    _decision,
     _distances,
-    _positive_probability,
     _sample_step,
     _sample_terms,
     classify,
@@ -126,6 +127,14 @@ def old_positive_probability(dists, model, positive_label):
     if total <= 0.0:
         raise DegenerateSampleError("document is at zero distance to both classes")
     return sigmoid(model.sigmoid_slope * (neg - pos) / total)
+
+
+def old_winner_and_runner_up(dists, model):
+    """Winner by ``argmin``, runner-up by ``min`` over the other classes' prototypes."""
+    labels = model.prototype_labels
+    winner = int(np.argmin(dists))
+    return winner, min((i for i, lab in enumerate(labels) if lab != labels[winner]),
+                       key=lambda i: dists[i])
 
 
 def old_sgd(training, config):
@@ -258,7 +267,7 @@ class TestPositiveProbability:
         for ex in trained.test_examples:
             _, dists = classify(ex.subspace, model)
             for label in model.class_labels:
-                assert _positive_probability(dists, model, label) == \
+                assert _decision(dists, model, label)[2] == \
                     old_positive_probability(dists, model, label)
 
     # Short-list values make ties and zeros common; the floats cover the rest.
@@ -279,9 +288,57 @@ class TestPositiveProbability:
             expected = old_positive_probability(dists, model, "pos")
         except DegenerateSampleError:
             with pytest.raises(DegenerateSampleError):
-                _positive_probability(dists, model, "pos")
+                _decision(dists, model, "pos")
         else:
-            assert _positive_probability(dists, model, "pos") == expected
+            assert _decision(dists, model, "pos")[2] == expected
+
+
+class TestDecision:
+    """Winner and runner-up of ``_decision`` against the ``argmin``/``min`` rule."""
+
+    def check(self, model, dists):
+        """Every label of a binary model, and the predicted label of any model."""
+        expected = old_winner_and_runner_up(dists, model)
+        predicted = model.prototype_labels[expected[0]]
+        labels = model.class_labels if len(model.class_labels) == 2 else [predicted]
+        for label in labels:
+            if dists[expected[0]] + dists[expected[1]] <= 0.0:
+                with pytest.raises(DegenerateSampleError):
+                    _decision(dists, model, label)
+            else:
+                assert _decision(dists, model, label)[:2] == expected
+
+    @pytest.mark.parametrize("classes", [2, 3])
+    def test_on_two_prototypes_per_class(self, trained, classes):
+        """The binary model is trained; the 3-class one has random prototypes."""
+        if classes == 2:
+            config = TrainConfig(subspace_dim=10, seed=5, epochs=2, prototypes_per_class=2)
+            model = train(trained.train_examples, config)
+        else:
+            rng = np.random.default_rng(8)
+            model = ModelState(
+                prototypes=np.stack([orthonormal(rng, 50, 10) for _ in range(6)]),
+                prototype_labels=("a", "a", "b", "b", "c", "c"), relevances=np.full(10, 0.1),
+                sigmoid_slope=5.0, distance_kind=CHORDAL)
+        for rec, ex in zip(trained.test_records, trained.test_examples):
+            _, dists = classify(ex.subspace, model)
+            self.check(model, dists)
+            report = explanation_report(rec, model, trained.corpus.table, trained.stoplist, k=1)
+            assert report.runner_up_label == \
+                model.prototype_labels[old_winner_and_runner_up(dists, model)[1]]
+
+    # Few distinct values, so that ties within and across classes are common.
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]),
+                              st.sampled_from("abc")),
+                    min_size=2, max_size=7))
+    @settings(max_examples=300, deadline=None)
+    def test_on_drawn_distances(self, rows):
+        assume(len({lab for _, lab in rows}) > 1)
+        model = ModelState(
+            prototypes=np.stack([np.eye(2)[:, :1]] * len(rows)),
+            prototype_labels=tuple(lab for _, lab in rows),
+            relevances=np.ones(1), sigmoid_slope=5.0, distance_kind=CHORDAL)
+        self.check(model, np.array([dist for dist, _ in rows]))
 
 
 class TestStackedTraining:
